@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from .audit import SUPPORTED_PRIMES, paper_demo, render_report, report_jsonable
@@ -127,15 +128,15 @@ def _verdict_payload(verdict) -> tuple[str, dict]:
 
 
 def _bounds_from(args) -> SearchBounds:
-    b = DEFAULT_BOUNDS
-    return SearchBounds(
-        max_xvars=getattr(args, "max_vars", None) or b.max_xvars,
-        max_yvars=getattr(args, "max_vars", None) or b.max_yvars,
-        max_system=b.max_system,
-        max_terms=getattr(args, "max_terms", None) or b.max_terms,
-        max_word_len=getattr(args, "max_word_len", None) or b.max_word_len,
-        max_premises=b.max_premises,
-    )
+    """check-at's bound flags over the defaults: an unset flag keeps its
+    default, and a negative one is an input error."""
+    for flag in ("max_vars", "max_terms", "max_word_len"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise RepGeoError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+    given = {"max_xvars": args.max_vars, "max_yvars": args.max_vars,
+             "max_terms": args.max_terms, "max_word_len": args.max_word_len}
+    return replace(DEFAULT_BOUNDS, **{k: v for k, v in given.items() if v is not None})
 
 
 def _read(path: str) -> str:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 class EnumerationCaps:
     max_group_order: int = 64
     max_dim: int = 8
-    max_prime: int = 97
     # candidate generator-image tuples when enumerating group homs
     max_hom_candidates: int = 2**20
     # matrices enumerated per group hom when solving equivariance systems

@@ -9,10 +9,9 @@ structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import ContextMismatch, FieldMismatch, InvalidInput
-from .groups import FiniteGroup
 from .linalg import PrimeField, Vector, vec_add, vec_scale, zero_vec
 from .reps import Representation
 
@@ -145,10 +144,6 @@ def ring_one(ctx: FreeContext, field: PrimeField) -> RingElement:
     return ring_from_terms(ctx, field, [(identity_word(ctx), 1)])
 
 
-def word_to_ring(field: PrimeField, w: GroupWord) -> RingElement:
-    return ring_from_terms(w.context, field, [(w, 1)])
-
-
 def _check_ring_pair(r: RingElement, s: RingElement) -> None:
     _same_ctx(r, s)
     if r.field != s.field:
@@ -165,10 +160,6 @@ def ring_add(r: RingElement, s: RingElement) -> RingElement:
 
 def ring_scale(lam: int, r: RingElement) -> RingElement:
     return _canon_ring(r.context, r.field, {w: lam * c for w, c in r.terms})
-
-
-def ring_neg(r: RingElement) -> RingElement:
-    return ring_scale(-1, r)
 
 
 def ring_mul(r: RingElement, s: RingElement) -> RingElement:
@@ -239,10 +230,6 @@ def module_add(u: ModuleElement, v: ModuleElement) -> ModuleElement:
 
 def module_scale(lam: int, u: ModuleElement) -> ModuleElement:
     return _canon_module(u.context, u.field, {x: ring_scale(lam, r) for x, r in u.parts})
-
-
-def module_neg(u: ModuleElement) -> ModuleElement:
-    return module_scale(-1, u)
 
 
 def module_act(u: ModuleElement, r: RingElement) -> ModuleElement:
@@ -349,35 +336,23 @@ class Assignment:
     ymap: tuple[int, ...]  # aligned with context.yvars; group element indices
 
 
-def eval_word_raw(group: FiniteGroup, ymap: Sequence[int], w: GroupWord) -> int:
+def eval_word(asg: Assignment, w: GroupWord) -> int:
+    group, ymap = asg.rep.group, asg.ymap
     acc = 0
     for v, e in w.letters:
         acc = group.table[acc][group.power(ymap[v], e)]
     return acc
 
 
-def eval_word(asg: Assignment, w: GroupWord) -> int:
-    return eval_word_raw(asg.rep.group, asg.ymap, w)
-
-
-def eval_module_raw(
-    rep: Representation,
-    xmap: Sequence[Vector],
-    ymap: Sequence[int],
-    u: ModuleElement,
-) -> Vector:
+def eval_module(asg: Assignment, u: ModuleElement) -> Vector:
+    rep = asg.rep
     p = rep.p
     out = zero_vec(rep.dim)
     for x, r in u.parts:
-        base = xmap[x]
+        base = asg.xmap[x]
         for w, c in r.terms:
-            g = eval_word_raw(rep.group, ymap, w)
-            out = vec_add(p, out, vec_scale(p, c, rep.apply(base, g)))
+            out = vec_add(p, out, vec_scale(p, c, rep.apply(base, eval_word(asg, w))))
     return out
-
-
-def eval_module(asg: Assignment, u: ModuleElement) -> Vector:
-    return eval_module_raw(asg.rep, asg.xmap, asg.ymap, u)
 
 
 def eval_atom(asg: Assignment, a: Atom) -> bool:

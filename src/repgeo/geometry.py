@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
 from .errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
@@ -27,8 +27,6 @@ from .freemod import (
     atom_key,
     equation_system,
     eval_atom,
-    eval_module_raw,
-    eval_word_raw,
     identity_word,
     module_add,
     module_key,
@@ -38,8 +36,8 @@ from .freemod import (
     ring_from_terms,
     word_key,
 )
-from .groups import FiniteGroup, GroupHom, enumerate_group_homs
-from .linalg import all_vectors, zero_vec
+from .groups import FiniteGroup, GroupHom, enumerate_group_homs, hom_defect
+from .linalg import all_vectors, vec_mat, zero_vec
 from .reps import (
     RepHom,
     Representation,
@@ -69,17 +67,6 @@ def enumerate_assignments(
     return out
 
 
-def _satisfies_system(asg: Assignment, sys: EquationSystem) -> bool:
-    z = zero_vec(asg.rep.dim)
-    for u in sys.module_part:
-        if eval_module_raw(asg.rep, asg.xmap, asg.ymap, u) != z:
-            return False
-    for w in sys.group_part:
-        if eval_word_raw(asg.rep.group, asg.ymap, w) != 0:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class SolutionSet:
     system: EquationSystem
@@ -90,9 +77,10 @@ class SolutionSet:
 def solution_set(
     rep: Representation, sys: EquationSystem, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> SolutionSet:
-    asgs = enumerate_assignments(rep, sys.context, caps)
-    sols = tuple(a for a in asgs if _satisfies_system(a, sys))
-    return SolutionSet(sys, rep, sols)
+    sols = enumerate_assignments(rep, sys.context, caps)
+    for t in [ModuleAtom(u) for u in sys.module_part] + [GroupAtom(w) for w in sys.group_part]:
+        sols = [a for a in sols if eval_atom(a, t)]
+    return SolutionSet(sys, rep, tuple(sols))
 
 
 def in_closure(
@@ -203,8 +191,12 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 
 
 # ---------------------------------------------------------------------------
-# Satisfaction masks (internal speed-up for the scans; semantics are the
-# same exhaustive filters as above)
+# The bounded scan shared by both witness deciders.  Each atom of the pool
+# becomes one bit mask per representation over its assignment space, built
+# once per context; a premise set's solutions are the AND of its masks, and
+# a conclusion is implied where no solution falls outside its own mask.
+# Semantics are the exhaustive filters above; callers re-check every hit
+# through them.
 
 
 def _atom_sat_mask(rep: Representation, asgs: list[Assignment], a: Atom) -> int:
@@ -213,6 +205,45 @@ def _atom_sat_mask(rep: Representation, asgs: list[Assignment], a: Atom) -> int:
         if eval_atom(asg, a):
             m |= 1 << i
     return m
+
+
+def _scan_asymmetries(
+    r: Representation,
+    s: Representation,
+    bounds: SearchBounds,
+    caps: EnumerationCaps,
+    max_premises: int,
+    atom_pool: Callable[[FreeContext], list[Atom]],
+) -> Iterator[tuple[FreeContext, tuple[Atom, ...], Atom, bool, bool]]:
+    """Every (context, premises, conclusion, implied on r, implied on s)
+    where the two implications differ, in scan order: contexts by x- then
+    y-count, premise sets () then combinations of the pool by size, and
+    conclusions in pool order."""
+    if r.field != s.field:
+        raise FieldMismatch("representations over different fields")
+    for nx in range(1, bounds.max_xvars + 1):
+        for ny in range(1, bounds.max_yvars + 1):
+            ctx = scan_context(nx, ny)
+            atoms = atom_pool(ctx)
+            asgs_r = enumerate_assignments(r, ctx, caps)
+            asgs_s = enumerate_assignments(s, ctx, caps)
+            full_r = (1 << len(asgs_r)) - 1
+            full_s = (1 << len(asgs_s)) - 1
+            masks_r = [_atom_sat_mask(r, asgs_r, a) for a in atoms]
+            masks_s = [_atom_sat_mask(s, asgs_s, a) for a in atoms]
+            # per atom, the assignments on which it fails
+            fails = list(zip([full_r & ~m for m in masks_r], [full_s & ~m for m in masks_s]))
+            for k in range(max_premises + 1):
+                for prems in combinations(range(len(atoms)), k):
+                    sol_r, sol_s = full_r, full_s
+                    for i in prems:
+                        sol_r &= masks_r[i]
+                        sol_s &= masks_s[i]
+                    for c, (fail_r, fail_s) in enumerate(fails):
+                        in_r = not sol_r & fail_r
+                        in_s = not sol_s & fail_s
+                        if in_r != in_s:
+                            yield ctx, tuple(atoms[i] for i in prems), atoms[c], in_r, in_s
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +352,8 @@ def validate_separation_certificate(cert: SeparationCertificate) -> bool:
     every hom by direct sweep and check injectivity pair by pair (and
     vector by vector), independently of the greedy construction."""
     if isinstance(cert.source, FiniteGroup):
-        for h in cert.homs:
-            img, t1, t2 = h.image, cert.source.table, cert.target.table
-            if img[0] != 0:
-                return False
-            for i in range(cert.source.order):
-                for j in range(cert.source.order):
-                    if img[t1[i][j]] != t2[img[i]][img[j]]:
-                        return False
+        if any(hom_defect(cert.source, cert.target, h.image) is not None for h in cert.homs):
+            return False
         for i in range(cert.source.order):
             for j in range(i + 1, cert.source.order):
                 if not any(h.image[i] != h.image[j] for h in cert.homs):
@@ -343,8 +368,6 @@ def validate_separation_certificate(cert: SeparationCertificate) -> bool:
         for j in range(i + 1, g.order):
             if not any(h.grouphom.image[i] != h.grouphom.image[j] for h in cert.homs):
                 return False
-    from .linalg import vec_mat
-
     for v in src.vectors():
         if any(v) and not any(any(vec_mat(src.p, v, h.matrix)) for h in cert.homs):
             return False
@@ -454,34 +477,14 @@ def find_at_witness(
 ) -> Optional[AtWitness]:
     """Deterministic bounded scan over action-type systems and candidates;
     first asymmetry wins and is re-checked before return."""
-    if r.field != s.field:
-        raise FieldMismatch("representations over different fields")
-    for nx in range(1, bounds.max_xvars + 1):
-        for ny in range(1, bounds.max_yvars + 1):
-            ctx = scan_context(nx, ny)
-            pool = bounded_module_elements(ctx, r.field, bounds)
-            asgs_r = enumerate_assignments(r, ctx, caps)
-            asgs_s = enumerate_assignments(s, ctx, caps)
-            mask_r = {u: _atom_sat_mask(r, asgs_r, ModuleAtom(u)) for u in pool}
-            mask_s = {u: _atom_sat_mask(s, asgs_s, ModuleAtom(u)) for u in pool}
-            full_r = (1 << len(asgs_r)) - 1
-            full_s = (1 << len(asgs_s)) - 1
-            systems = [()]
-            for k in range(1, bounds.max_system + 1):
-                systems.extend(combinations(pool, k))
-            for t in systems:
-                sol_r = full_r
-                sol_s = full_s
-                for u in t:
-                    sol_r &= mask_r[u]
-                    sol_s &= mask_s[u]
-                for u in pool:
-                    mem_r = (sol_r & ~mask_r[u]) == 0
-                    mem_s = (sol_s & ~mask_s[u]) == 0
-                    if mem_r != mem_s:
-                        w = AtWitness(equation_system(ctx, t), u, mem_r, mem_s)
-                        if validate_at_witness(r, s, w, caps):
-                            return w
+
+    def pool(ctx: FreeContext) -> list[Atom]:
+        return [ModuleAtom(u) for u in bounded_module_elements(ctx, r.field, bounds)]
+
+    for ctx, t, u, in_r, in_s in _scan_asymmetries(r, s, bounds, caps, bounds.max_system, pool):
+        w = AtWitness(equation_system(ctx, [a.element for a in t]), u.element, in_r, in_s)
+        if validate_at_witness(r, s, w, caps):
+            return w
     return None
 
 
@@ -526,38 +529,15 @@ def find_separating_qid(
     """First bounded quasi-identity on which the two representations
     disagree, scanning premises and conclusions over the bounded atom
     space.  The audit's witness implication is always in the scan."""
-    if r.field != s.field:
-        raise FieldMismatch("representations over different fields")
-    for nx in range(1, bounds.max_xvars + 1):
-        for ny in range(1, bounds.max_yvars + 1):
-            ctx = scan_context(nx, ny)
-            atoms = bounded_atoms(ctx, r.field, bounds)
-            wq = paper_witness_qid(ctx, r.field)
-            pool = set(atoms) | set(wq.premises) | {wq.conclusion}
-            atoms = sorted(pool, key=atom_key)
-            asgs_r = enumerate_assignments(r, ctx, caps)
-            asgs_s = enumerate_assignments(s, ctx, caps)
-            mask_r = {a: _atom_sat_mask(r, asgs_r, a) for a in atoms}
-            mask_s = {a: _atom_sat_mask(s, asgs_s, a) for a in atoms}
-            full_r = (1 << len(asgs_r)) - 1
-            full_s = (1 << len(asgs_s)) - 1
-            prem_sets = [()]
-            for k in range(1, bounds.max_premises + 1):
-                prem_sets.extend(combinations(atoms, k))
-            for prems in prem_sets:
-                pr = full_r
-                ps = full_s
-                for a in prems:
-                    pr &= mask_r[a]
-                    ps &= mask_s[a]
-                for concl in atoms:
-                    ok_r = (pr & ~mask_r[concl]) == 0
-                    ok_s = (ps & ~mask_s[concl]) == 0
-                    if ok_r != ok_s:
-                        q = QuasiIdentity(tuple(prems), concl)
-                        # re-verify through the direct evaluator
-                        vr, _ = fulfills_qid(r, q, caps)
-                        vs, _ = fulfills_qid(s, q, caps)
-                        if vr != vs:
-                            return q
+
+    def pool(ctx: FreeContext) -> list[Atom]:
+        wq = paper_witness_qid(ctx, r.field)
+        atoms = set(bounded_atoms(ctx, r.field, bounds)) | set(wq.premises) | {wq.conclusion}
+        return sorted(atoms, key=atom_key)
+
+    for _, prems, concl, _, _ in _scan_asymmetries(r, s, bounds, caps, bounds.max_premises, pool):
+        q = QuasiIdentity(prems, concl)
+        # re-verify through the direct evaluator
+        if fulfills_qid(r, q, caps)[0] != fulfills_qid(s, q, caps)[0]:
+            return q
     return None

@@ -214,14 +214,25 @@ class GroupHom:
         )
 
 
+def hom_defect(domain: FiniteGroup, codomain: FiniteGroup, image: Sequence[int]) -> str | None:
+    """Why ``image`` is not a homomorphism domain -> codomain, or None if
+    it is: the definitional sweep over the full multiplication table."""
+    in_range = all(0 <= x < codomain.order for x in image)
+    if len(image) != domain.order or not in_range or image[0] != 0:
+        return "bad image table"
+    for i, row in enumerate(domain.table):
+        img_row = codomain.table[image[i]]
+        for j, ij in enumerate(row):
+            if image[ij] != img_row[image[j]]:
+                return f"not a homomorphism at ({i},{j})"
+    return None
+
+
 def group_hom(domain: FiniteGroup, codomain: FiniteGroup, image: Sequence[int]) -> GroupHom:
     img = tuple(image)
-    if len(img) != domain.order or img[0] != 0:
-        raise InvalidInput("bad image table")
-    for i in range(domain.order):
-        for j in range(domain.order):
-            if img[domain.table[i][j]] != codomain.table[img[i]][img[j]]:
-                raise InvalidInput(f"not a homomorphism at ({i},{j})")
+    defect = hom_defect(domain, codomain, img)
+    if defect is not None:
+        raise InvalidInput(defect)
     return GroupHom(domain, codomain, img)
 
 

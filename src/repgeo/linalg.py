@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatch, InvalidInput
 
@@ -43,10 +43,6 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
 
-def vec(field: PrimeField, coords: Iterable[int]) -> Vector:
-    return tuple(c % field.p for c in coords)
-
-
 def zero_vec(n: int) -> Vector:
     return (0,) * n
 
@@ -57,13 +53,6 @@ def vec_add(p: int, u: Vector, v: Vector) -> Vector:
 
 def vec_scale(p: int, c: int, v: Vector) -> Vector:
     return tuple((c * a) % p for a in v)
-
-
-def mat_from_rows(field: PrimeField, rows: Sequence[Sequence[int]]) -> Matrix:
-    rows = [tuple(x % field.p for x in r) for r in rows]
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise DimensionMismatch("ragged matrix literal")
-    return tuple(rows)
 
 
 def mat_identity(n: int) -> Matrix:
@@ -85,10 +74,6 @@ def vec_mat(p: int, v: Vector, a: Matrix) -> Vector:
         raise DimensionMismatch("vector/matrix shape mismatch")
     cols = tuple(zip(*a)) if a else ()
     return tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) if a else ()
 
 
 def rref(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -135,11 +120,6 @@ def nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]
             v[pc] = (-red[r][fc]) % p
         basis.append(tuple(v))
     return basis
-
-
-def left_kernel(p: int, a: Matrix) -> list[Vector]:
-    """Basis of {v : v . a = 0}."""
-    return nullspace(p, transpose(a), len(a))
 
 
 def is_invertible(p: int, a: Matrix) -> bool:

@@ -17,7 +17,16 @@ from .errors import (
     InvalidInput,
     NotAnAction,
 )
-from .groups import FiniteGroup, GroupHom, Subgroup, enumerate_group_homs, quotient_group, subgroup
+from .groups import (
+    FiniteGroup,
+    GroupHom,
+    Subgroup,
+    compose_group_homs,
+    enumerate_group_homs,
+    hom_defect,
+    quotient_group,
+    subgroup,
+)
 from .linalg import (
     Matrix,
     PrimeField,
@@ -155,20 +164,12 @@ def check_rep_hom(h: RepHom) -> bool:
         ):
             return False
     # beta itself must be a homomorphism
-    img = h.grouphom.image
-    t1, t2 = h.source.group.table, h.target.group.table
-    return all(
-        img[t1[i][j]] == t2[img[i]][img[j]]
-        for i in range(h.source.group.order)
-        for j in range(h.source.group.order)
-    )
+    return hom_defect(h.source.group, h.target.group, h.grouphom.image) is None
 
 
 def compose_rep_homs(f: RepHom, g: RepHom) -> RepHom:
     if f.target != g.source:
         raise InvalidInput("rep hom composition mismatch")
-    from .groups import compose_group_homs
-
     return RepHom(
         f.source,
         g.target,
@@ -231,8 +232,6 @@ def rep_isomorphic(
 
 def kernel_of_matrix_family(p: int, mats: Sequence[Matrix], dim: int) -> list[Vector]:
     """Basis of the joint left kernel {v : v . A = 0 for every A}."""
-    if not mats:
-        return [tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)]
     # stack the columns of every matrix as equation rows on v
     rows = []
     for a in mats:

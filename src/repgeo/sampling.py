@@ -92,12 +92,6 @@ def random_representation(
     return make_representation(field, dim, g, act)
 
 
-def random_module_element(rng: random.Random, ctx: FreeContext, field: PrimeField,
-                          bounds: SearchBounds = DEFAULT_BOUNDS):
-    pool = bounded_module_elements(ctx, field, bounds)
-    return rng.choice(pool)
-
-
 def random_system(
     rng: random.Random,
     ctx: FreeContext,

@@ -9,6 +9,8 @@ parse(serialize(v)) == v structurally.  Every parse error carries a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import prod
 from typing import Optional
 
 from .config import DEFAULT_CAPS, EnumerationCaps
@@ -466,12 +468,11 @@ def _parse_group_block(reader: _LineReader, caps: EnumerationCaps) -> FiniteGrou
         ]
         if len(factors) < 2:
             raise _line_error(lineno, line, "at least two product factors")
-        g = factors[0]
-        for h in factors[1:]:
-            g = product_group(g, h)
-        if g.order > caps.max_group_order:
-            raise InvalidInput(f"group order {g.order} exceeds cap {caps.max_group_order}")
-        return g
+        # before multiplying: building an oversized product is the expensive part
+        order = prod(h.order for h in factors)
+        if order > caps.max_group_order:
+            raise InvalidInput(f"group order {order} exceeds cap {caps.max_group_order}")
+        return reduce(product_group, factors)
     raise _line_error(lineno, line, '"table", "cyclic(...)", or "product(...)"')
 
 

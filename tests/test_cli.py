@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +98,36 @@ def test_check_at(files, capsys):
     code, doc = _json_run(capsys, ["check-at", files["r1.rep"], files["triv.rep"]])
     assert code == 1
     assert doc["witness"]["in_first"] != doc["witness"]["in_second"]
+
+
+def test_check_at_zero_bound_is_used(files, capsys):
+    argv = ["check-at", files["r1.rep"], files["triv.rep"], "--max-word-len", "0"]
+    code, doc = _json_run(capsys, argv)
+    assert doc["bounds"]["max_word_len"] == 0
+    assert code == 2 and doc["outcome"] == "unknown"
+
+
+def test_check_at_negative_bound_exit_3(files, capsys):
+    argv = ["check-at", files["r1.rep"], files["triv.rep"], "--max-terms", "-1"]
+    code, doc = _json_run(capsys, argv)
+    assert code == 3 and doc["outcome"] == "error"
+    assert "--max-terms" in doc["error"]
+
+
+def test_product_order_cap_checked_before_building(tmp_path):
+    # the order-4096 product would take far longer than the timeout to build
+    rep = tmp_path / "big.rep"
+    rep.write_text(
+        "field p=2\ngroup product(cyclic(64) as a, cyclic(64) as b)\ndim 1\n",
+        encoding="utf-8",
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "repgeo.cli", "--json", "faithful", str(rep)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert done.returncode == 3
+    assert "exceeds cap" in json.loads(done.stdout)["error"]
 
 
 def test_closure(files, capsys):

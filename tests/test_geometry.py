@@ -5,6 +5,7 @@ import pytest
 from repgeo import (
     AtWitness,
     Equivalent,
+    PrimeField,
     FreeContext,
     GroupAtom,
     ModuleAtom,
@@ -23,18 +24,23 @@ from repgeo import (
     geo_equivalent,
     in_at_closure,
     in_closure,
+    make_representation,
     module_act,
     module_add,
     module_scale,
     paper_witness_qid,
     ring_from_terms,
     separates_points,
+    serialize,
+    serialize_qid,
     solution_set,
+    trivial_group,
     validate_at_witness,
     validate_separation_certificate,
     xgen,
     ygen,
 )
+from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS
 from repgeo.sampling import random_qid, random_representation
 
@@ -347,3 +353,85 @@ def test_naive_oracle_agreement():
 
             assert all(eval_atom(wit, a) for a in q.premises)
             assert not eval_atom(wit, q.conclusion)
+
+
+# -- first-asymmetry contract ------------------------------------------------
+# The scans return the *first* asymmetry in a fixed order (premise sets
+# [()] then by size, conclusions in pool order).  The expected values
+# below pin which witness comes back, not only that it separates.
+
+
+def _serialized_at(w):
+    if w is None:
+        return None
+    return ([serialize(u) for u in w.system.module_part], serialize(w.candidate),
+            w.in_first, w.in_second)
+
+
+def _serialized_qid(q):
+    return None if q is None else serialize_qid(q)
+
+
+def _trivial_line(p):
+    return make_representation(PrimeField(p), 1, trivial_group(), {})
+
+
+def _seeded_reps():
+    rng = random.Random(7)
+    return [random_representation(rng) for _ in range(10)]
+
+
+_X1 = {2: "x*(1 + y)", 3: "x*(1 - y)"}
+
+_PINNED_SCANS = (
+    [
+        (f"demo{p}-{side}-vs-line-{nx}x1", ("demo", p, side, "line"), nx,
+         ([], _X1[p], False, True), "=> y = 1")
+        for p in (2, 3) for side in (0, 1) for nx in (1, 2)
+    ]
+    + [
+        (f"line-vs-demo{p}-{side}-{nx}x1", ("line", p, side, "demo"), nx,
+         ([], _X1[p], True, False), "=> y = 1")
+        for p in (2, 3) for side in (0, 1) for nx in (1, 2)
+    ]
+    + [
+        (f"demo{p}-{i}-{j}", ("demo-pair", p, i, j), 1, None, None)
+        for p in (2, 3) for i, j in ((0, 1), (1, 0), (0, 0))
+    ]
+    + [
+        ("seeded-0-2", ("seeded", 0, 2), 1, None, "y^2 = 1 => y = 1"),
+        ("seeded-2-0", ("seeded", 2, 0), 1, None, "y^2 = 1 => y = 1"),
+        ("seeded-8-3", ("seeded", 8, 3), 1, None, "y^2 = 1 => y = 1"),
+        ("seeded-0-8", ("seeded", 0, 8), 1, None, None),
+        ("seeded-0-7", ("seeded", 0, 7), 1, ([], "x*(1 + y)", True, False),
+         "=> x*(1 + y) = 0"),
+        ("seeded-7-1", ("seeded", 7, 1), 1, ([], "x*(1 + y)", False, True), "=> y^2 = 1"),
+        ("seeded-6-9", ("seeded", 6, 9), 1, None, "=> y = 1"),
+    ]
+)
+
+
+def _pinned_pair(spec):
+    kind = spec[0]
+    if kind == "seeded":
+        reps = _seeded_reps()
+        return reps[spec[1]], reps[spec[2]]
+    p = spec[1]
+    demo = build_demo_reps(p)
+    if kind == "demo-pair":
+        return demo[spec[2]], demo[spec[3]]
+    if kind == "demo":
+        return demo[spec[2]], _trivial_line(p)
+    return _trivial_line(p), demo[spec[2]]
+
+
+@pytest.mark.parametrize(
+    "spec,nx,at_expected,qid_expected",
+    [case[1:] for case in _PINNED_SCANS],
+    ids=[case[0] for case in _PINNED_SCANS],
+)
+def test_scans_return_pinned_first_asymmetry(spec, nx, at_expected, qid_expected):
+    r, s = _pinned_pair(spec)
+    bounds = SearchBounds(max_xvars=nx)
+    assert _serialized_at(find_at_witness(r, s, bounds)) == at_expected
+    assert _serialized_qid(find_separating_qid(r, s, bounds)) == qid_expected

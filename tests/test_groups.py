@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from repgeo import (
     cyclic_group,
     enumerate_group_homs,
     group_from_table,
+    group_hom,
     product_group,
     quotient_group,
     subgroup,
@@ -137,6 +139,20 @@ def test_hom_counts_spec_examples():
     assert len(enumerate_group_homs(v4, z2)) == 4
     assert len(enumerate_group_homs(z2, v4)) == 4
     assert len(enumerate_group_homs(z3, z2)) == 1
+
+
+def test_group_hom_rejects_with_reason():
+    z2 = cyclic_group(2, "a")
+    z4 = cyclic_group(4, "d")
+    assert group_hom(z4, z2, [0, 1, 0, 1]).image == (0, 1, 0, 1)
+    for image, reason in [
+        ([0, 1], "bad image table"),  # wrong length
+        ([1, 0, 1, 0], "bad image table"),  # identity not fixed
+        ([0, 2, 0, 2], "bad image table"),  # outside the codomain
+        ([0, 1, 1, 1], "not a homomorphism at (1,1)"),
+    ]:
+        with pytest.raises(InvalidInput, match=re.escape(reason)):
+            group_hom(z4, z2, image)
 
 
 @pytest.mark.parametrize("gi", range(4))
