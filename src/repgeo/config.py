@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import InvalidInput
+
 
 @dataclass(frozen=True)
 class EnumerationCaps:
@@ -35,6 +37,11 @@ class SearchBounds:
     max_terms: int = 2
     max_word_len: int = 2
     max_premises: int = 2
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value < 0:
+                raise InvalidInput(f"{name} must be >= 0, got {value}")
 
 
 DEFAULT_CAPS = EnumerationCaps()

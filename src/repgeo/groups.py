@@ -1,5 +1,6 @@
 """Cayley-table groups: validation, constructors, subgroups, quotients,
-and exhaustive homomorphism enumeration.
+and exhaustive homomorphism enumeration.  Associativity (Light's test) and
+candidate homs are checked on generators only, along one Cayley graph.
 """
 
 from __future__ import annotations
@@ -86,13 +87,14 @@ def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fi
             raise NotAGroup("latin-square", ("row", i))
         if len({rows[k][i] for k in range(n)}) != n:
             raise NotAGroup("latin-square", ("col", i))
-    # associativity
-    for i in range(n):
-        for j in range(n):
-            ij = rows[i][j]
-            for k in range(n):
-                if rows[ij][k] != rows[i][rows[j][k]]:
-                    raise NotAGroup("associativity", (i, j, k))
+    # associativity by Light's test: the k with (ij)k = i(jk) for all i, j
+    # are closed under products, so the generators (_cayley_graph) suffice
+    for k in _cayley_graph(rows)[0]:
+        col = [r[k] for r in rows]
+        for i, row in enumerate(rows):
+            if [col[x] for x in row] != [row[x] for x in col]:
+                j = next(j for j in range(n) if col[row[j]] != row[col[j]])
+                raise NotAGroup("associativity", (i, j, k))
     # two-sided inverses
     inverses = []
     for i in range(n):
@@ -243,30 +245,38 @@ def compose_group_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(f.domain, g.codomain, tuple(g.image[x] for x in f.image))
 
 
+def _cayley_graph(table: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple]]:
+    """Greedy generators of a Cayley table (each the least element not yet
+    reached from 0 by right multiplication, so every element is a
+    left-normed product of them) and the Cayley-graph edges
+    (e, pos, e * gens[pos], first) in breadth-first order from 0, where
+    first marks the edge that reaches its end first."""
+    gens, edges, seen = [], [], {0}
+    while len(seen) < len(table):
+        gens.append(min(set(range(len(table))) - seen))
+        seen, edges, queue = {0}, [], [0]
+        for e in queue:
+            for pos, s in enumerate(gens):
+                f = table[e][s]
+                edges.append((e, pos, f, f not in seen))
+                if f not in seen:
+                    seen.add(f)
+                    queue.append(f)
+    return gens, edges
+
+
 def generating_words(g: FiniteGroup) -> tuple[list[int], list[list[int]]]:
     """Greedy generating set plus, per element, a word in those generators.
 
     words[i] is a list of generator positions whose left-to-right product
-    equals element i.
+    equals element i; enumerate_group_homs tries images of these gens.
     """
-    gens: list[int] = []
-    words: list[list[int] | None] = [None] * g.order
-    words[0] = []
-    known = {0}
-    while len(known) < g.order:
-        gens.append(min(i for i in range(g.order) if i not in known))
-        frontier = list(known)
-        while frontier:
-            nxt = []
-            for e in frontier:
-                for pos, s in enumerate(gens):
-                    ne = g.table[e][s]
-                    if ne not in known:
-                        known.add(ne)
-                        words[ne] = words[e] + [pos]  # type: ignore[operator]
-                        nxt.append(ne)
-            frontier = nxt
-    return gens, [w for w in words if w is not None] if len(known) == g.order else []
+    gens, edges = _cayley_graph(g.table)
+    words: list[list[int]] = [[] for _ in range(g.order)]
+    for e, pos, f, first in edges:
+        if first:
+            words[f] = words[e] + [pos]
+    return gens, words
 
 
 def enumerate_group_homs(
@@ -274,35 +284,30 @@ def enumerate_group_homs(
 ) -> list[GroupHom]:
     """All homomorphisms G -> H, sorted by image table.
 
-    Backtracks over generator images, extends along stored generator
-    words, then verifies the full multiplication table.
+    Each tuple of generator images spreads along the Cayley graph of G
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005):
+    an edge (e, pos, f) sets or compares image[f] = image[e] * imgs[pos].
+    The tuple is a hom exactly when no edge disagrees: |G| * k checks.
     """
     for grp in (g, h):
         if grp.order > caps.max_group_order:
             raise EnumerationCapExceeded(caps.max_group_order, grp.order, "group order")
-    gens, words = generating_words(g)
-    k = len(gens)
-    candidates = h.order**k
+    gens, edges = _cayley_graph(g.table)
+    candidates = h.order ** len(gens)
     if candidates > caps.max_hom_candidates:
         raise EnumerationCapExceeded(caps.max_hom_candidates, candidates, "hom search")
-    found: set[tuple[int, ...]] = set()
-    for imgs in product(range(h.order), repeat=k):
-        image = []
-        for w in words:
-            acc = 0
-            for pos in w:
-                acc = h.table[acc][imgs[pos]]
-            image.append(acc)
-        ok = True
-        for i in range(g.order):
-            row = g.table[i]
-            hi = image[i]
-            for j in range(g.order):
-                if image[row[j]] != h.table[hi][image[j]]:
-                    ok = False
-                    break
-            if not ok:
+    # right[s][x] = x * s in H
+    right = [[row[s] for row in h.table] for s in range(h.order)]
+    found: list[tuple[int, ...]] = []
+    for imgs in product(range(h.order), repeat=len(gens)):
+        by = [right[s] for s in imgs]
+        image = [0] * g.order
+        for e, pos, f, first in edges:
+            v = by[pos][image[e]]
+            if first:
+                image[f] = v
+            elif image[f] != v:
                 break
-        if ok:
-            found.add(tuple(image))
+        else:
+            found.append(tuple(image))
     return [GroupHom(g, h, img) for img in sorted(found)]

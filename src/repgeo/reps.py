@@ -16,6 +16,7 @@ from .errors import (
     FieldMismatch,
     InvalidInput,
     NotAnAction,
+    RepGeoError,
 )
 from .groups import (
     FiniteGroup,
@@ -131,15 +132,13 @@ def faithful_image(rep: Representation) -> FaithfulImage:
     # all members of a coset act identically because kernel members act as I
     act: dict[int, Matrix] = {}
     for g in range(rep.group.order):
-        c = sigma[g]
-        if c in act:
-            assert act[c] == rep.act[g], "coset action not well-defined"
-        else:
-            act[c] = rep.act[g]
+        if act.setdefault(sigma[g], rep.act[g]) != rep.act[g]:
+            raise RepGeoError("coset action not well-defined")
     quotient = make_representation(
         rep.field, rep.dim, q, {c: m for c, m in act.items() if c != 0}
     )
-    assert rep_kernel(quotient).order == 1
+    if rep_kernel(quotient).order != 1:
+        raise RepGeoError("faithful image has a nontrivial kernel")
     return FaithfulImage(rep, quotient, sigma)
 
 

@@ -1,9 +1,10 @@
-"""A maximally naive second route for quasi-identity checking.
+"""A maximally naive second route for quasi-identity checking and group
+hom enumeration.
 
 Formulas are raw syntax trees evaluated by direct recursion, with no
 canonical forms, no reduction, and no reuse of the package's term
 arithmetic.  The only shared vocabulary is the Representation container
-itself.
+itself.  Group homs are checked against the whole multiplication table.
 """
 
 from __future__ import annotations
@@ -187,3 +188,51 @@ def random_qid_trees(rng, xnames, ynames, p, max_premises=2):
     premises = [random_atom_tree(rng, xnames, ynames, p) for _ in range(n)]
     conclusion = random_atom_tree(rng, xnames, ynames, p)
     return premises, conclusion
+
+
+# -- group homomorphisms by the full multiplication table ---------------------
+
+
+def naive_generating_words(g):
+    """Greedy generators (least element not yet reached) and, per element,
+    a word of generator positions whose left-to-right product is it."""
+    gens = []
+    words = [None] * g.order
+    words[0] = []
+    known = {0}
+    while len(known) < g.order:
+        gens.append(min(i for i in range(g.order) if i not in known))
+        frontier = list(known)
+        while frontier:
+            nxt = []
+            for e in frontier:
+                for pos, s in enumerate(gens):
+                    ne = g.table[e][s]
+                    if ne not in known:
+                        known.add(ne)
+                        words[ne] = words[e] + [pos]
+                        nxt.append(ne)
+            frontier = nxt
+    return gens, words
+
+
+def naive_group_homs(g, h):
+    """Sorted image tables of all homs G -> H: every tuple of generator
+    images, extended along the words and checked against the whole
+    |G|^2 multiplication table."""
+    gens, words = naive_generating_words(g)
+    found = set()
+    for imgs in product(range(h.order), repeat=len(gens)):
+        image = []
+        for w in words:
+            acc = 0
+            for pos in w:
+                acc = h.table[acc][imgs[pos]]
+            image.append(acc)
+        if all(
+            image[g.table[i][j]] == h.table[image[i]][image[j]]
+            for i in range(g.order)
+            for j in range(g.order)
+        ):
+            found.add(tuple(image))
+    return sorted(found)

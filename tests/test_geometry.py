@@ -42,6 +42,7 @@ from repgeo import (
 )
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS
+from repgeo.errors import InvalidInput
 from repgeo.sampling import random_qid, random_representation
 
 from naive import naive_fulfills, random_qid_trees, trees_to_qid
@@ -165,6 +166,13 @@ def test_bounded_words_shortlex():
     lens = [w.length() for w in ws]
     assert lens == sorted(lens)
     assert len(ws) == 1 + 2 + 2  # 1, y, y^-1, y^2, y^-2
+
+
+@pytest.mark.parametrize("field", list(vars(DEFAULT_BOUNDS)))
+def test_negative_search_bound_rejected(field, r1, trivial_rep):
+    with pytest.raises(InvalidInput, match=f"{field} must be >= 0"):
+        find_at_witness(r1, trivial_rep, SearchBounds(**{field: -1}))
+    assert getattr(SearchBounds(**{field: 0}), field) == 0
 
 
 def test_bounded_module_elements_counts(gf2):

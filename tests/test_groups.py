@@ -16,7 +16,9 @@ from repgeo import (
     trivial_group,
 )
 from repgeo.errors import InvalidInput
-from repgeo.sampling import symmetric_group_3
+from repgeo.sampling import general_linear_group, symmetric_group_3
+
+from naive import naive_group_homs
 
 
 def test_z2_from_table():
@@ -59,6 +61,53 @@ def test_associativity_rejected_with_witness():
     i, j, k = e.value.witness
     t = _LOOP5
     assert t[t[i][j]][k] != t[i][t[j][k]]
+
+
+def _reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [0] * (n - 1) for i in range(1, n)]
+    in_row = [{i} for i in range(n)]
+    in_col = [{j} for j in range(n)]
+
+    def fill(cell):
+        if cell == (n - 1) ** 2:
+            yield [tuple(r) for r in rows]
+            return
+        i, j = 1 + cell // (n - 1), 1 + cell % (n - 1)
+        for x in range(n):
+            if x not in in_row[i] and x not in in_col[j]:
+                rows[i][j] = x
+                in_row[i].add(x)
+                in_col[j].add(x)
+                yield from fill(cell + 1)
+                in_row[i].remove(x)
+                in_col[j].remove(x)
+
+    return list(fill(0))
+
+
+@pytest.mark.parametrize("n,squares,groups", [(5, 56, 6), (6, 9408, 80)])
+def test_associativity_check_exact_on_all_reduced_latin_squares(n, squares, groups):
+    tables = _reduced_latin_squares(n)
+    assert len(tables) == squares
+    accepted = 0
+    for t in tables:
+        associative = all(
+            t[t[i][j]][k] == t[i][t[j][k]]
+            for i in range(n)
+            for j in range(n)
+            for k in range(n)
+        )
+        try:
+            group_from_table([str(x) for x in range(n)], t)
+        except NotAGroup as e:
+            assert not associative and e.reason == "associativity"
+            i, j, k = e.witness
+            assert t[t[i][j]][k] != t[i][t[j][k]]
+        else:
+            assert associative
+            accepted += 1
+    assert accepted == groups
 
 
 def test_cyclic_tables():
@@ -177,6 +226,31 @@ def test_hom_enumeration_matches_naive_filter(gi, hi):
             for i in range(g.order)
             for j in range(g.order)
         )
+
+
+_Z2 = cyclic_group(2, "a")
+_GROUPS = {
+    "Z1": trivial_group(),
+    "Z2": _Z2,
+    "Z3": cyclic_group(3, "c"),
+    "Z4": cyclic_group(4, "d"),
+    "V4": product_group(_Z2, cyclic_group(2, "b")),
+    "Z6": cyclic_group(6, "f"),
+    "Z4xZ2": product_group(cyclic_group(4, "d"), _Z2),
+    "Z2^3": product_group(product_group(_Z2, cyclic_group(2, "b")), cyclic_group(2, "c")),
+    "S3": general_linear_group(2, 2)[0],
+    "GL(2,3)": general_linear_group(3, 2)[0],
+}
+_SMALL = ["Z1", "Z2", "Z3", "Z4", "V4", "Z6", "Z4xZ2", "Z2^3", "S3"]
+
+
+@pytest.mark.parametrize(
+    "gname,hname",
+    [(a, b) for a in _SMALL for b in _SMALL] + [("GL(2,3)", "S3"), ("S3", "GL(2,3)")],
+)
+def test_hom_list_matches_full_table_enumerator(gname, hname):
+    g, h = _GROUPS[gname], _GROUPS[hname]
+    assert [x.image for x in enumerate_group_homs(g, h)] == naive_group_homs(g, h)
 
 
 def test_subgroup_validation():
