@@ -19,7 +19,9 @@ class EnumerationCaps:
     max_hom_candidates: int = 2**20
     # matrices enumerated per group hom when solving equivariance systems
     max_matrices_per_beta: int = 2**20
-    # assignments |V|^|X| * |G|^|Y| scanned by the solution-set filter
+    # points |V|^|X| * |G|^|Y| of an assignment space, checked before any
+    # decider looks at one (the closure and quasi-identity deciders then
+    # visit only the |G|^|Y| group assignments; the witness scans visit all)
     max_search_space: int = 2**24
 
 

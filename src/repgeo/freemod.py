@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import ContextMismatch, FieldMismatch, InvalidInput
+from .groups import FiniteGroup
 from .linalg import PrimeField, Vector, vec_add, vec_scale, zero_vec
 from .reps import Representation
 
@@ -336,12 +337,16 @@ class Assignment:
     ymap: tuple[int, ...]  # aligned with context.yvars; group element indices
 
 
-def eval_word(asg: Assignment, w: GroupWord) -> int:
-    group, ymap = asg.rep.group, asg.ymap
+def word_value(group: FiniteGroup, ymap: tuple[int, ...], w: GroupWord) -> int:
+    """The element w takes when the y-variables map to ymap."""
     acc = 0
     for v, e in w.letters:
         acc = group.table[acc][group.power(ymap[v], e)]
     return acc
+
+
+def eval_word(asg: Assignment, w: GroupWord) -> int:
+    return word_value(asg.rep.group, asg.ymap, w)
 
 
 def eval_module(asg: Assignment, u: ModuleElement) -> Vector:

@@ -2,8 +2,11 @@
 equivalence deciders with re-checkable certificates.
 
 The affine space of a representation and a context is the finite set of
-generator assignments; every decider here is an exhaustive filter over
-it, guarded by caps.
+generator assignments, guarded by caps.  Solution sets, closures and
+quasi-identities are decided one y-point at a time by linear algebra over
+GF(p), since module terms are linear in the x-variables.  The bounded
+witness scans evaluate every assignment directly and re-check each hit
+through those deciders.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from .freemod import (
     reduce_word,
     ring_from_terms,
     word_key,
+    word_value,
 )
 from .groups import FiniteGroup, GroupHom, enumerate_group_homs, hom_defect
-from .linalg import all_vectors, vec_mat, zero_vec
+from .linalg import all_vectors, nullspace, rref, span_elements, vec_mat, zero_vec
 from .reps import (
     RepHom,
     Representation,
@@ -48,23 +52,106 @@ from .reps import (
 )
 
 # ---------------------------------------------------------------------------
-# Assignment space
+# Assignment space.  A point is x-vectors for the x-variables and group
+# elements for the y-variables; enumeration order is x-major (the x-vectors
+# lexicographically, concatenated into one flat vector of length nx*dim),
+# then y.  Module terms are linear in x: at a fixed y-point each module
+# element u is a (nx*dim) x dim matrix M_u(y) with u(x) = x . M_u(y).
+
+
+def _check_inputs(
+    rep: Representation, ctx: FreeContext, atoms: Sequence[Atom], caps: EnumerationCaps
+) -> None:
+    for a in atoms:
+        if isinstance(a, ModuleAtom) and a.element.field != rep.field:
+            raise FieldMismatch("formula and representation over different fields")
+    space = (rep.p**rep.dim) ** len(ctx.xvars) * rep.group.order ** len(ctx.yvars)
+    if space > caps.max_search_space:
+        raise SearchSpaceCapExceeded(caps.max_search_space, space)
 
 
 def enumerate_assignments(
     rep: Representation, ctx: FreeContext, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> list[Assignment]:
-    """All points of the affine space, ordered by x-vectors then y-indices."""
+    """All points of the affine space, in enumeration order."""
+    _check_inputs(rep, ctx, (), caps)
     nx, ny = len(ctx.xvars), len(ctx.yvars)
-    space = (rep.p**rep.dim) ** nx * rep.group.order**ny
-    if space > caps.max_search_space:
-        raise SearchSpaceCapExceeded(caps.max_search_space, space)
     vectors = all_vectors(rep.p, rep.dim)
     out = []
     for xm in product(vectors, repeat=nx):
         for ym in product(range(rep.group.order), repeat=ny):
             out.append(Assignment(rep, xm, ym))
     return out
+
+
+def _assignment(rep: Representation, x: Sequence[int], y: tuple[int, ...]) -> Assignment:
+    d = rep.dim
+    return Assignment(rep, tuple(tuple(x[i : i + d]) for i in range(0, len(x), d)), y)
+
+
+def _columns(rep: Representation, y: tuple[int, ...], u: ModuleElement, n: int) -> list[list[int]]:
+    """The columns of M_u(y), each of length n = nx*dim."""
+    p, dim = rep.p, rep.dim
+    cols = [[0] * n for _ in range(dim)]
+    for i, r in u.parts:
+        for w, c in r.terms:
+            for k, row in enumerate(rep.act[word_value(rep.group, y, w)]):
+                for j, a in enumerate(row):
+                    cols[j][i * dim + k] += c * a
+    return [[a % p for a in col] for col in cols]
+
+
+def _solution_spaces(
+    rep: Representation, ctx: FreeContext, premises: Sequence[Atom]
+) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """(y, S_y) for each y-point, in order, at which the group premises
+    hold: S_y is the subspace of flat x-vectors solving the module
+    premises, as a basis in reduced row echelon form."""
+    n = len(ctx.xvars) * rep.dim
+    words = [a.word for a in premises if isinstance(a, GroupAtom)]
+    elems = [a.element for a in premises if isinstance(a, ModuleAtom)]
+    for y in product(range(rep.group.order), repeat=len(ctx.yvars)):
+        if any(word_value(rep.group, y, w) for w in words):
+            continue
+        rows = [col for u in elems for col in _columns(rep, y, u, n)]
+        yield y, rref(rep.p, nullspace(rep.p, rows, n))[0]
+
+
+def _least_violation(
+    rep: Representation,
+    ctx: FreeContext,
+    premises: Sequence[Atom],
+    conclusion: Atom,
+    caps: EnumerationCaps,
+) -> Optional[Assignment]:
+    """The enumeration-order-least assignment that satisfies every premise
+    and violates the conclusion, or None.
+
+    In an RREF basis b_1..b_k of S_y the pivots increase, so the points of
+    S_y in x-major order are the coefficient tuples in lexicographic order.
+    The least point outside ker M_c(y) is then b_j for the largest j with
+    b_j . M_c(y) != 0.  A group conclusion that fails at y fails at x = 0.
+    """
+    _check_inputs(rep, ctx, (*premises, conclusion), caps)
+    p, n = rep.p, len(ctx.xvars) * rep.dim
+    best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
+    for y, basis in _solution_spaces(rep, ctx, premises):
+        if isinstance(conclusion, GroupAtom):
+            if word_value(rep.group, y, conclusion.word):
+                best = ((0,) * n, y)
+                break  # nothing precedes x = 0 at the first such y
+            continue
+        cols = _columns(rep, y, conclusion.element, n)
+        for b in reversed(basis):
+            if any(sum(s * t for s, t in zip(b, col)) % p for col in cols):
+                if best is None or tuple(b) < best[0]:
+                    best = (tuple(b), y)
+                break
+    return None if best is None else _assignment(rep, *best)
+
+
+def _system_atoms(sys: EquationSystem) -> list[Atom]:
+    return [ModuleAtom(u) for u in sys.module_part] + [GroupAtom(w) for w in sys.group_part]
 
 
 @dataclass(frozen=True)
@@ -77,10 +164,16 @@ class SolutionSet:
 def solution_set(
     rep: Representation, sys: EquationSystem, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> SolutionSet:
-    sols = enumerate_assignments(rep, sys.context, caps)
-    for t in [ModuleAtom(u) for u in sys.module_part] + [GroupAtom(w) for w in sys.group_part]:
-        sols = [a for a in sols if eval_atom(a, t)]
-    return SolutionSet(sys, rep, tuple(sols))
+    """Every solution of the system, in enumeration order."""
+    premises = _system_atoms(sys)
+    _check_inputs(rep, sys.context, premises, caps)
+    n = len(sys.context.xvars) * rep.dim
+    points = sorted(
+        (x, y)
+        for y, basis in _solution_spaces(rep, sys.context, premises)
+        for x in span_elements(rep.p, basis, n)
+    )
+    return SolutionSet(sys, rep, tuple(_assignment(rep, x, y) for x, y in points))
 
 
 def in_closure(
@@ -96,7 +189,7 @@ def in_closure(
     """
     if a.context != sys.context:
         raise InvalidInput("atom context differs from system context")
-    return all(eval_atom(s, a) for s in solution_set(rep, sys, caps).solutions)
+    return _least_violation(rep, sys.context, _system_atoms(sys), a, caps) is None
 
 
 def in_at_closure(
@@ -121,10 +214,8 @@ def fulfills_qid(
     """Whether every assignment satisfying the premises satisfies the
     conclusion; on failure, the enumeration-order-least violating
     assignment is returned."""
-    for asg in enumerate_assignments(rep, q.context, caps):
-        if all(eval_atom(asg, w) for w in q.premises) and not eval_atom(asg, q.conclusion):
-            return False, asg
-    return True, None
+    asg = _least_violation(rep, q.context, q.premises, q.conclusion, caps)
+    return asg is None, asg
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +286,8 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 # becomes one bit mask per representation over its assignment space, built
 # once per context; a premise set's solutions are the AND of its masks, and
 # a conclusion is implied where no solution falls outside its own mask.
-# Semantics are the exhaustive filters above; callers re-check every hit
-# through them.
+# Callers re-check every hit through the linear-algebra deciders above, so
+# each route checks the other.
 
 
 def _atom_sat_mask(rep: Representation, asgs: list[Assignment], a: Atom) -> int:

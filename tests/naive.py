@@ -1,10 +1,12 @@
-"""A maximally naive second route for quasi-identity checking and group
-hom enumeration.
+"""A maximally naive second route for quasi-identity checking, solution
+sets and group hom enumeration.
 
 Formulas are raw syntax trees evaluated by direct recursion, with no
 canonical forms, no reduction, and no reuse of the package's term
 arithmetic.  The only shared vocabulary is the Representation container
-itself.  Group homs are checked against the whole multiplication table.
+itself.  Solution sets and violating points are found by visiting every
+point of the affine space in enumeration order.  Group homs are checked
+against the whole multiplication table.
 """
 
 from __future__ import annotations
@@ -82,16 +84,40 @@ def naive_eval_atom(rep, xdict, ydict, atom):
     return naive_eval_word(rep.group, ydict, atom[1]) == 0
 
 
-def naive_fulfills(rep, xnames, ynames, premises, conclusion):
+def naive_points(rep, xnames, ynames):
+    """Every (x-vectors, y-elements) point, x-major: the x-vectors in
+    lexicographic order, then the y-elements."""
     vectors = list(product(range(rep.p), repeat=rep.dim))
     for xvals in product(vectors, repeat=len(xnames)):
-        xdict = dict(zip(xnames, xvals))
         for yvals in product(range(rep.group.order), repeat=len(ynames)):
-            ydict = dict(zip(ynames, yvals))
-            if all(naive_eval_atom(rep, xdict, ydict, a) for a in premises):
-                if not naive_eval_atom(rep, xdict, ydict, conclusion):
-                    return False
-    return True
+            yield xvals, yvals
+
+
+def naive_holds(rep, xnames, ynames, point, atoms):
+    xdict, ydict = dict(zip(xnames, point[0])), dict(zip(ynames, point[1]))
+    return all(naive_eval_atom(rep, xdict, ydict, a) for a in atoms)
+
+
+def naive_least_violation(rep, xnames, ynames, premises, conclusion):
+    """The first point satisfying the premises and violating the
+    conclusion, or None."""
+    for pt in naive_points(rep, xnames, ynames):
+        if naive_holds(rep, xnames, ynames, pt, premises) and not naive_holds(
+            rep, xnames, ynames, pt, [conclusion]
+        ):
+            return pt
+    return None
+
+
+def naive_fulfills(rep, xnames, ynames, premises, conclusion):
+    return naive_least_violation(rep, xnames, ynames, premises, conclusion) is None
+
+
+def naive_solutions(rep, xnames, ynames, atoms):
+    """Every point satisfying all the atoms, x-major."""
+    return [
+        pt for pt in naive_points(rep, xnames, ynames) if naive_holds(rep, xnames, ynames, pt, atoms)
+    ]
 
 
 # -- conversion of trees to the package's canonical objects -----------------

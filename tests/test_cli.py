@@ -114,6 +114,14 @@ def test_check_at_negative_bound_exit_3(files, capsys):
     assert "--max-terms" in doc["error"]
 
 
+def test_qid_search_space_cap_exit_3(files, capsys):
+    # 12 x-variables over GF(2)^2 and one y over Z2: 2^25 points > 2^24
+    formula = "x1*y - x1 = 0 => " + " + ".join(f"x{i}" for i in range(1, 13)) + " = 0"
+    code, doc = _json_run(capsys, ["qid", files["r1.rep"], formula])
+    assert code == 3 and doc["outcome"] == "error"
+    assert doc["error"] == f"assignment space {2**25} > cap {2**24}"
+
+
 def test_product_order_cap_checked_before_building(tmp_path):
     # the order-4096 product would take far longer than the timeout to build
     rep = tmp_path / "big.rep"

@@ -10,6 +10,7 @@ from repgeo import (
     GroupAtom,
     ModuleAtom,
     NotEquivalent,
+    QuasiIdentity,
     SearchBounds,
     at_equivalent,
     bounded_atoms,
@@ -41,11 +42,20 @@ from repgeo import (
     ygen,
 )
 from repgeo.audit import build_demo_reps
-from repgeo.config import DEFAULT_BOUNDS
-from repgeo.errors import InvalidInput
+from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
+from repgeo.errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
+from repgeo.linalg import is_invertible, mat_identity, mat_mul
+from repgeo.reps import Representation
 from repgeo.sampling import random_qid, random_representation
+from repgeo.textio import infer_context, parse_qid
 
-from naive import naive_fulfills, random_qid_trees, trees_to_qid
+from naive import (
+    naive_fulfills,
+    naive_least_violation,
+    naive_solutions,
+    random_qid_trees,
+    trees_to_qid,
+)
 
 
 def _ctx():
@@ -154,6 +164,38 @@ def test_fulfills_trivial_tautology(r1, r2, gf2):
     for rep in (r1, r2):
         ok, wit = fulfills_qid(rep, q)
         assert ok and wit is None
+
+
+# -- the search-space cap ----------------------------------------------------
+# max_search_space bounds |V|^nx * |G|^ny and is checked before any point
+# is looked at.
+
+
+@pytest.mark.parametrize("decider", ["fulfills_qid", "in_closure", "solution_set"])
+def test_search_space_cap_edge(decider, r1, gf2):
+    ctx = FreeContext(("x1", "x2"), ("y",))
+    space = 4**2 * 2
+    y = ygen(ctx, 0)
+    x1y = module_act(xgen(ctx, gf2, 0), ring_from_terms(ctx, gf2, [(y, 1)]))
+    u = module_add(x1y, module_scale(-1, xgen(ctx, gf2, 1)))
+    sys = equation_system(ctx, [u])
+    calls = {
+        "fulfills_qid": lambda rep, caps: fulfills_qid(
+            rep, QuasiIdentity((ModuleAtom(u),), GroupAtom(y)), caps
+        ),
+        "in_closure": lambda rep, caps: in_closure(rep, sys, GroupAtom(y), caps),
+        "solution_set": lambda rep, caps: solution_set(rep, sys, caps).solutions,
+    }
+    call = calls[decider]
+    assert call(r1, EnumerationCaps(max_search_space=space)) == call(r1, DEFAULT_CAPS)
+    with pytest.raises(SearchSpaceCapExceeded) as exc:
+        call(r1, EnumerationCaps(max_search_space=space - 1))
+    assert (exc.value.cap, exc.value.needed) == (space - 1, space)
+    # a representation without action matrices fails on the first point
+    # evaluated, so the cap must be hit before that
+    hollow = Representation(r1.field, r1.dim, r1.group, ())
+    with pytest.raises(SearchSpaceCapExceeded):
+        call(hollow, EnumerationCaps(max_search_space=space - 1))
 
 
 # -- bounded enumeration -----------------------------------------------------
@@ -361,6 +403,83 @@ def test_naive_oracle_agreement():
 
             assert all(eval_atom(wit, a) for a in q.premises)
             assert not eval_atom(wit, q.conclusion)
+
+
+def _cyclic_power_rep(rng, dim, p, max_order):
+    """A random invertible M over GF(p) of order at most max_order, and the
+    cyclic group of that order acting by the powers of M."""
+    while True:
+        m = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(dim))
+        if not is_invertible(p, m):
+            continue
+        powers = [mat_identity(dim)]
+        while len(powers) <= max_order:
+            nxt = mat_mul(p, powers[-1], m)
+            if nxt == powers[0]:
+                group = cyclic_group(len(powers))
+                return make_representation(PrimeField(p), dim, group, dict(enumerate(powers)))
+            powers.append(nxt)
+
+
+def test_deciders_match_brute_force_oracle():
+    # witnesses and solution order included; the space is kept small enough
+    # for the oracle, which visits every point
+    rng = random.Random(61)
+    limit = 2000
+    seen = set()
+    for _ in range(400):
+        dim, p, nx, ny = (rng.choice(v) for v in ((1, 2, 3), (2, 3, 5), (1, 2), (1, 2)))
+        max_order = int((limit / p ** (dim * nx)) ** (1 / ny))
+        if max_order < 2:
+            continue
+        rep = _cyclic_power_rep(rng, dim, p, max_order)
+        xnames = [f"x{i}" for i in range(1, nx + 1)]
+        ynames = [f"y{i}" for i in range(1, ny + 1)]
+        ctx = FreeContext(tuple(xnames), tuple(ynames))
+        prems, concl = random_qid_trees(rng, xnames, ynames, p)
+        q = trees_to_qid(ctx, rep.field, prems, concl)
+        expect = naive_least_violation(rep, xnames, ynames, prems, concl)
+        ok, wit = fulfills_qid(rep, q)
+        assert (ok, wit and (wit.xmap, wit.ymap)) == (expect is None, expect)
+        sys = equation_system(
+            ctx,
+            [a.element for a in q.premises if isinstance(a, ModuleAtom)],
+            [a.word for a in q.premises if isinstance(a, GroupAtom)],
+        )
+        assert in_closure(rep, sys, q.conclusion) == (expect is None)
+        got = [(s.xmap, s.ymap) for s in solution_set(rep, sys).solutions]
+        assert got == naive_solutions(rep, xnames, ynames, prems)
+        module_atoms = [a for a in (*q.premises, q.conclusion) if isinstance(a, ModuleAtom)]
+        seen |= {("dim", dim), ("p", p), ("nx", nx), ("ny", ny), ("holds", ok)}
+        seen.add(("dim 3, p 5", (dim, p) == (3, 5)))
+        seen.add(("no premises", not prems))
+        seen.add(("group premise", bool(sys.group_part)))
+        seen.add(("group conclusion", isinstance(q.conclusion, GroupAtom)))
+        seen.add(("zero module atom", any(a.element.is_zero() for a in module_atoms)))
+    assert seen >= {("dim", 1), ("dim", 2), ("dim", 3), ("p", 2), ("p", 3), ("p", 5)}
+    assert seen >= {("nx", 1), ("nx", 2), ("ny", 1), ("ny", 2)}
+    for flag in ("holds", "dim 3, p 5", "no premises", "group premise", "group conclusion",
+                 "zero module atom"):
+        assert {(flag, True), (flag, False)} <= seen
+
+
+def test_formula_over_another_field_rejected(r1, gf2):
+    # 2*x*y reduces to 0 mod 2, so evaluating this mod 2 would find a witness
+    formula = "2*x*y - x = 0 => y = 1"
+    gf5 = PrimeField(5)
+    q = parse_qid(formula, infer_context(formula), gf5)
+    ctx = q.context
+    sys5 = equation_system(ctx, [q.premises[0].element])
+    calls = [
+        lambda: fulfills_qid(r1, q),
+        lambda: in_closure(r1, sys5, q.conclusion),
+        lambda: in_closure(r1, equation_system(ctx, [], [ygen(ctx, 0)]), q.premises[0]),
+        lambda: in_at_closure(r1, sys5, xgen(ctx, gf2, 0)),
+        lambda: solution_set(r1, sys5),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatch):
+            call()
 
 
 # -- first-asymmetry contract ------------------------------------------------
