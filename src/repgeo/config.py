@@ -20,8 +20,8 @@ class EnumerationCaps:
     # matrices enumerated per group hom when solving equivariance systems
     max_matrices_per_beta: int = 2**20
     # points |V|^|X| * |G|^|Y| of an assignment space, checked before any
-    # decider looks at one (the closure and quasi-identity deciders then
-    # visit only the |G|^|Y| group assignments; the witness scans visit all)
+    # decider looks at one (the deciders then visit only the |G|^|Y| group
+    # assignments; the witness scans keep one bit per point in each mask)
     max_search_space: int = 2**24
 
 

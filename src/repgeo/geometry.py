@@ -5,8 +5,8 @@ The affine space of a representation and a context is the finite set of
 generator assignments, guarded by caps.  Solution sets, closures and
 quasi-identities are decided one y-point at a time by linear algebra over
 GF(p), since module terms are linear in the x-variables.  The bounded
-witness scans evaluate every assignment directly and re-check each hit
-through those deciders.
+witness scans build each atom's satisfaction mask from the same per-y
+kernels and re-check each hit through those deciders.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .freemod import (
     QuasiIdentity,
     atom_key,
     equation_system,
-    eval_atom,
     identity_word,
     module_add,
     module_key,
@@ -90,7 +89,8 @@ def _assignment(rep: Representation, x: Sequence[int], y: tuple[int, ...]) -> As
 
 
 def _columns(rep: Representation, y: tuple[int, ...], u: ModuleElement, n: int) -> list[list[int]]:
-    """The columns of M_u(y), each of length n = nx*dim."""
+    """The columns of M_u(y), each of length n = nx*dim.  u vanishes at
+    (x, y) exactly when x is orthogonal to every column."""
     p, dim = rep.p, rep.dim
     cols = [[0] * n for _ in range(dim)]
     for i, r in u.parts:
@@ -286,15 +286,46 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 # becomes one bit mask per representation over its assignment space, built
 # once per context; a premise set's solutions are the AND of its masks, and
 # a conclusion is implied where no solution falls outside its own mask.
-# Callers re-check every hit through the linear-algebra deciders above, so
-# each route checks the other.
+# The masks are laid out y-major: block j holds |V|^nx bits, one per flat
+# x-vector in x-major order, for the j-th y-point.  The scan only ANDs
+# masks and tests them for emptiness, so any layout shared by one
+# context's masks gives the same asymmetries.  Callers re-check every hit
+# through the deciders above.
 
 
-def _atom_sat_mask(rep: Representation, asgs: list[Assignment], a: Atom) -> int:
+def _kernel_bits(p: int, basis: Sequence[Sequence[int]], n: int) -> int:
+    """Bit i set for each vector of span(basis) that is the i-th of
+    GF(p)^n in lexicographic order."""
+    bits = 0
+    for v in span_elements(p, basis, n):
+        i = 0
+        for c in v:
+            i = i * p + c
+        bits |= 1 << i
+    return bits
+
+
+def _atom_sat_mask(
+    rep: Representation, points: Sequence[tuple[int, ...]], a: Atom, kernel_bits: dict[tuple, int]
+) -> int:
+    """The y-major mask of the assignments at the given y-points where a
+    holds.  At y a module atom u holds on ker M_u(y) and a group atom on
+    every x or none.  kernel_bits memoises each kernel's block on its
+    columns; they fix dim and n, and the two representations of a scan
+    share p, so one dict serves a whole scan context."""
+    n = len(a.context.xvars) * rep.dim
+    block = rep.p**n
     m = 0
-    for i, asg in enumerate(asgs):
-        if eval_atom(asg, a):
-            m |= 1 << i
+    for j, y in enumerate(points):
+        if isinstance(a, GroupAtom):
+            bits = 0 if word_value(rep.group, y, a.word) else (1 << block) - 1
+        else:
+            cols = _columns(rep, y, a.element, n)
+            key = tuple(map(tuple, cols))
+            bits = kernel_bits.get(key)
+            if bits is None:
+                bits = kernel_bits[key] = _kernel_bits(rep.p, nullspace(rep.p, cols, n), n)
+        m |= bits << (j * block)
     return m
 
 
@@ -315,13 +346,16 @@ def _scan_asymmetries(
     for nx in range(1, bounds.max_xvars + 1):
         for ny in range(1, bounds.max_yvars + 1):
             ctx = scan_context(nx, ny)
+            for rep in (r, s):
+                _check_inputs(rep, ctx, (), caps)
             atoms = atom_pool(ctx)
-            asgs_r = enumerate_assignments(r, ctx, caps)
-            asgs_s = enumerate_assignments(s, ctx, caps)
-            full_r = (1 << len(asgs_r)) - 1
-            full_s = (1 << len(asgs_s)) - 1
-            masks_r = [_atom_sat_mask(r, asgs_r, a) for a in atoms]
-            masks_s = [_atom_sat_mask(s, asgs_s, a) for a in atoms]
+            points_r = list(product(range(r.group.order), repeat=ny))
+            points_s = list(product(range(s.group.order), repeat=ny))
+            full_r = (1 << r.p ** (nx * r.dim) * len(points_r)) - 1
+            full_s = (1 << s.p ** (nx * s.dim) * len(points_s)) - 1
+            kernel_bits: dict[tuple, int] = {}
+            masks_r = [_atom_sat_mask(r, points_r, a, kernel_bits) for a in atoms]
+            masks_s = [_atom_sat_mask(s, points_s, a, kernel_bits) for a in atoms]
             # per atom, the assignments on which it fails
             fails = list(zip([full_r & ~m for m in masks_r], [full_s & ~m for m in masks_s]))
             for k in range(max_premises + 1):

@@ -4,9 +4,9 @@ sets and group hom enumeration.
 Formulas are raw syntax trees evaluated by direct recursion, with no
 canonical forms, no reduction, and no reuse of the package's term
 arithmetic.  The only shared vocabulary is the Representation container
-itself.  Solution sets and violating points are found by visiting every
-point of the affine space in enumeration order.  Group homs are checked
-against the whole multiplication table.
+itself.  Solution sets, violating points and atom masks are found by
+visiting every point of the affine space in enumeration order.  Group
+homs are checked against the whole multiplication table.
 """
 
 from __future__ import annotations
@@ -111,6 +111,15 @@ def naive_least_violation(rep, xnames, ynames, premises, conclusion):
 
 def naive_fulfills(rep, xnames, ynames, premises, conclusion):
     return naive_least_violation(rep, xnames, ynames, premises, conclusion) is None
+
+
+def naive_atom_mask(rep, xnames, ynames, atom):
+    """Bit i set when the atom holds at the i-th point, x-major."""
+    m = 0
+    for i, pt in enumerate(naive_points(rep, xnames, ynames)):
+        if naive_holds(rep, xnames, ynames, pt, [atom]):
+            m |= 1 << i
+    return m
 
 
 def naive_solutions(rep, xnames, ynames, atoms):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -44,15 +45,19 @@ from repgeo import (
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
 from repgeo.errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
+from repgeo.geometry import _atom_sat_mask
 from repgeo.linalg import is_invertible, mat_identity, mat_mul
 from repgeo.reps import Representation
 from repgeo.sampling import random_qid, random_representation
 from repgeo.textio import infer_context, parse_qid
 
 from naive import (
+    atom_tree_to_canonical,
+    naive_atom_mask,
     naive_fulfills,
     naive_least_violation,
     naive_solutions,
+    random_atom_tree,
     random_qid_trees,
     trees_to_qid,
 )
@@ -196,6 +201,31 @@ def test_search_space_cap_edge(decider, r1, gf2):
     hollow = Representation(r1.field, r1.dim, r1.group, ())
     with pytest.raises(SearchSpaceCapExceeded):
         call(hollow, EnumerationCaps(max_search_space=space - 1))
+
+
+def _space(rep, nx, ny=1):
+    return (rep.p**rep.dim) ** nx * rep.group.order**ny
+
+
+@pytest.mark.parametrize("scan", [find_at_witness, find_separating_qid])
+@pytest.mark.parametrize("other,nx", [("r2", 2), ("trivial_rep", 1)])
+def test_scan_search_space_cap_edge(scan, other, nx, r1, request):
+    # (r1, r2) scans both contexts and finds nothing; (r1, trivial_rep)
+    # returns a witness from its only context
+    s = request.getfixturevalue(other)
+    bounds = SearchBounds(max_xvars=nx)
+    space = max(_space(rep, nx) for rep in (r1, s))
+    expected = scan(r1, s, bounds)
+    assert scan(r1, s, bounds, EnumerationCaps(max_search_space=space)) == expected
+    with pytest.raises(SearchSpaceCapExceeded) as exc:
+        scan(r1, s, bounds, EnumerationCaps(max_search_space=space - 1))
+    assert (exc.value.cap, exc.value.needed) == (space - 1, space)
+    # the first mask built for a representation without action matrices
+    # fails, so both representations' caps must be checked before that
+    hollow = Representation(r1.field, r1.dim, r1.group, ())
+    one = max(_space(rep, 1) for rep in (r1, s))
+    with pytest.raises(SearchSpaceCapExceeded):
+        scan(hollow, s, SearchBounds(), EnumerationCaps(max_search_space=one - 1))
 
 
 # -- bounded enumeration -----------------------------------------------------
@@ -460,6 +490,49 @@ def test_deciders_match_brute_force_oracle():
     assert seen >= {("nx", 1), ("nx", 2), ("ny", 1), ("ny", 2)}
     for flag in ("holds", "dim 3, p 5", "no premises", "group premise", "group conclusion",
                  "zero module atom"):
+        assert {(flag, True), (flag, False)} <= seen
+
+
+def test_atom_masks_match_brute_force_oracle():
+    # the scan's masks are y-major, the oracle's x-major: the oracle's bit
+    # i * |G|^ny + j is the scan's bit j * |V|^nx + i
+    rng = random.Random(67)
+    limit = 2000
+    seen = set()
+    for _ in range(100):
+        dim, p, nx, ny = (rng.choice(v) for v in ((1, 2, 3), (2, 3, 5), (1, 2), (1, 2)))
+        max_order = int((limit / p ** (dim * nx)) ** (1 / ny))
+        if max_order < 2:
+            continue
+        rep = _cyclic_power_rep(rng, dim, p, max_order)
+        xnames = [f"x{i}" for i in range(1, nx + 1)]
+        ynames = [f"y{i}" for i in range(1, ny + 1)]
+        ctx = FreeContext(tuple(xnames), tuple(ynames))
+        points = list(product(range(rep.group.order), repeat=ny))
+        block, npoints = p ** (dim * nx), len(points)
+        everywhere = (1 << block * npoints) - 1
+        only_x0 = sum(1 << j * block for j in range(npoints))
+        trees = [("weq1", ("id",)), ("meq0", ("zero",)), ("meq0", ("xgen", "x1"))]
+        trees += [random_atom_tree(rng, xnames, ynames, p) for _ in range(5)]
+        kernel_bits = {}
+        for tree in trees:
+            atom = atom_tree_to_canonical(ctx, rep.field, tree)
+            expect = naive_atom_mask(rep, xnames, ynames, tree)
+            mapped = 0
+            for i in range(block):
+                for j in range(npoints):
+                    if expect >> (i * npoints + j) & 1:
+                        mapped |= 1 << (j * block + i)
+            got = _atom_sat_mask(rep, points, atom, kernel_bits)
+            assert got == mapped
+            seen |= {("dim", dim), ("p", p), ("nx", nx), ("ny", ny)}
+            seen.add(("group atom", isinstance(atom, GroupAtom)))
+            seen.add(("identity word", isinstance(atom, GroupAtom) and atom.word.is_identity()))
+            seen.add(("everywhere", got == everywhere))
+            seen.add(("only x = 0", got == only_x0))
+    assert seen >= {("dim", 1), ("dim", 2), ("dim", 3), ("p", 2), ("p", 3), ("p", 5)}
+    assert seen >= {("nx", 1), ("nx", 2), ("ny", 1), ("ny", 2)}
+    for flag in ("group atom", "identity word", "everywhere", "only x = 0"):
         assert {(flag, True), (flag, False)} <= seen
 
 
