@@ -6,13 +6,15 @@ generator assignments, guarded by caps.  Solution sets, closures and
 quasi-identities are decided one y-point at a time by linear algebra over
 GF(p), since module terms are linear in the x-variables.  The bounded
 witness scans build each atom's satisfaction mask from the same per-y
-kernels and re-check each hit through those deciders.
+kernels, skip a context outright when both representations have the same
+closed sets over the pool, and re-check each hit through those deciders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from math import comb
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
@@ -27,13 +29,12 @@ from .freemod import (
     ModuleAtom,
     ModuleElement,
     QuasiIdentity,
+    RingElement,
     atom_key,
     equation_system,
     identity_word,
-    module_add,
     module_key,
     module_term,
-    module_zero,
     reduce_word,
     ring_from_terms,
     word_key,
@@ -88,16 +89,26 @@ def _assignment(rep: Representation, x: Sequence[int], y: tuple[int, ...]) -> As
     return Assignment(rep, tuple(tuple(x[i : i + d]) for i in range(0, len(x), d)), y)
 
 
-def _columns(rep: Representation, y: tuple[int, ...], u: ModuleElement, n: int) -> list[list[int]]:
-    """The columns of M_u(y), each of length n = nx*dim.  u vanishes at
-    (x, y) exactly when x is orthogonal to every column."""
+def _terms_at(
+    rep: Representation, y: tuple[int, ...], u: ModuleElement
+) -> list[tuple[int, int, int]]:
+    """u at the y-point y as (x index, coeff, group element) triples, one
+    per term; M_u(y) depends on nothing else."""
+    return [(i, c, word_value(rep.group, y, w)) for i, r in u.parts for w, c in r.terms]
+
+
+def _columns(
+    rep: Representation, triples: Sequence[tuple[int, int, int]], n: int
+) -> list[list[int]]:
+    """The columns of M_u(y), each of length n = nx*dim, from u's triples
+    at y.  u vanishes at (x, y) exactly when x is orthogonal to every
+    column."""
     p, dim = rep.p, rep.dim
     cols = [[0] * n for _ in range(dim)]
-    for i, r in u.parts:
-        for w, c in r.terms:
-            for k, row in enumerate(rep.act[word_value(rep.group, y, w)]):
-                for j, a in enumerate(row):
-                    cols[j][i * dim + k] += c * a
+    for i, c, g in triples:
+        for k, row in enumerate(rep.act[g]):
+            for j, a in enumerate(row):
+                cols[j][i * dim + k] += c * a
     return [[a % p for a in col] for col in cols]
 
 
@@ -113,7 +124,7 @@ def _solution_spaces(
     for y in product(range(rep.group.order), repeat=len(ctx.yvars)):
         if any(word_value(rep.group, y, w) for w in words):
             continue
-        rows = [col for u in elems for col in _columns(rep, y, u, n)]
+        rows = [col for u in elems for col in _columns(rep, _terms_at(rep, y, u), n)]
         yield y, rref(rep.p, nullspace(rep.p, rows, n))[0]
 
 
@@ -141,7 +152,7 @@ def _least_violation(
                 best = ((0,) * n, y)
                 break  # nothing precedes x = 0 at the first such y
             continue
-        cols = _columns(rep, y, conclusion.element, n)
+        cols = _columns(rep, _terms_at(rep, y, conclusion.element), n)
         for b in reversed(basis):
             if any(sum(s * t for s, t in zip(b, col)) % p for col in cols):
                 if best is None or tuple(b) < best[0]:
@@ -251,28 +262,20 @@ def bounded_module_elements(
     """Nonzero module elements with at most bounds.max_terms terms total,
     words bounded by bounds.max_word_len, sorted canonically."""
     words = bounded_words(ctx, bounds.max_word_len)
-    singles = []  # (x, word, coeff) primitive terms
-    for x in range(len(ctx.xvars)):
-        for w in words:
-            for c in range(1, field.p):
-                singles.append((x, w, c))
+    # (x, word) slots in canonical order, so a combination of slots lists
+    # each x's terms in the order of a canonical ring element
+    slots = [(x, w) for x in range(len(ctx.xvars)) for w in words]
     out = []
     for k in range(1, bounds.max_terms + 1):
-        for combo in combinations(range(len(singles)), k):
-            picked = [singles[i] for i in combo]
-            # distinct (x, word) slots only; merged duplicates would change
-            # the term count
-            if len({(x, w) for x, w, _ in picked}) != k:
-                continue
-            elem = module_zero(ctx, field)
-            for x, w, c in picked:
-                elem = module_add(
-                    elem, module_term(ctx, field, x, ring_from_terms(ctx, field, [(w, c)]))
+        for picked in combinations(slots, k):
+            for coeffs in product(range(1, field.p), repeat=k):
+                terms = zip(picked, coeffs)
+                parts = tuple(
+                    (x, RingElement(ctx, field, tuple((w, c) for (_, w), c in group)))
+                    for x, group in groupby(terms, key=lambda t: t[0][0])
                 )
-            if not elem.is_zero():
-                out.append(elem)
-    uniq = sorted(set(out), key=module_key)
-    return uniq
+                out.append(ModuleElement(ctx, field, parts))
+    return sorted(out, key=module_key)
 
 
 def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
@@ -289,8 +292,10 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 # The masks are laid out y-major: block j holds |V|^nx bits, one per flat
 # x-vector in x-major order, for the j-th y-point.  The scan only ANDs
 # masks and tests them for emptiness, so any layout shared by one
-# context's masks gives the same asymmetries.  Callers re-check every hit
-# through the deciders above.
+# context's masks gives the same asymmetries.  A context in which both
+# representations have the same closed sets over the pool is skipped
+# without trying any premise set.  Callers re-check every hit through the
+# deciders above.
 
 
 def _kernel_bits(p: int, basis: Sequence[Sequence[int]], n: int) -> int:
@@ -306,27 +311,72 @@ def _kernel_bits(p: int, basis: Sequence[Sequence[int]], n: int) -> int:
 
 
 def _atom_sat_mask(
-    rep: Representation, points: Sequence[tuple[int, ...]], a: Atom, kernel_bits: dict[tuple, int]
+    rep: Representation, points: Sequence[tuple[int, ...]], a: Atom, memo: dict
 ) -> int:
     """The y-major mask of the assignments at the given y-points where a
     holds.  At y a module atom u holds on ker M_u(y) and a group atom on
-    every x or none.  kernel_bits memoises each kernel's block on its
-    columns; they fix dim and n, and the two representations of a scan
-    share p, so one dict serves a whole scan context."""
+    every x or none.
+
+    memo serves one representation in one scan context, with the same
+    y-points on every call.  It holds each word's values at the points,
+    keyed by the word, and each kernel's block, keyed both by u's triples
+    at y and by the flattened columns, so that distinct triples with equal
+    columns share one nullspace."""
     n = len(a.context.xvars) * rep.dim
     block = rep.p**n
+
+    def values(w: GroupWord) -> list[int]:
+        vals = memo.get(w)
+        if vals is None:
+            vals = memo[w] = [word_value(rep.group, y, w) for y in points]
+        return vals
+
+    if isinstance(a, GroupAtom):
+        ones = (1 << block) - 1
+        return sum(ones << (j * block) for j, g in enumerate(values(a.word)) if not g)
+    terms = [(i, c, values(w)) for i, r in a.element.parts for w, c in r.terms]
     m = 0
-    for j, y in enumerate(points):
-        if isinstance(a, GroupAtom):
-            bits = 0 if word_value(rep.group, y, a.word) else (1 << block) - 1
-        else:
-            cols = _columns(rep, y, a.element, n)
-            key = tuple(map(tuple, cols))
-            bits = kernel_bits.get(key)
+    for j in range(len(points)):
+        triples = tuple((i, c, vals[j]) for i, c, vals in terms)
+        bits = memo.get(triples)
+        if bits is None:
+            cols = _columns(rep, triples, n)
+            flat = tuple(x for col in cols for x in col)
+            bits = memo.get(flat)
             if bits is None:
-                bits = kernel_bits[key] = _kernel_bits(rep.p, nullspace(rep.p, cols, n), n)
+                bits = memo[flat] = _kernel_bits(rep.p, nullspace(rep.p, cols, n), n)
+            memo[triples] = bits
         m |= bits << (j * block)
     return m
+
+
+def _closed_signatures(
+    masks_r: Sequence[int], full_r: int, masks_s: Sequence[int], full_s: int, limit: int
+) -> bool:
+    """Whether every point signature of r is closed under s's closure over
+    the pool; False also once r's points fall into more than limit
+    signature classes.
+
+    A point's signature is the set of atoms that hold at it.  Splitting
+    r's points on each atom's mask yields the classes of equal signature;
+    each class carries the s-points that satisfy every atom of its
+    signature, and the signature is s-closed when every other atom fails
+    at one of them."""
+    classes = [(full_r, 0, full_s)]  # (r-points, signature as atom bits, s-points)
+    for i, (m_r, m_s) in enumerate(zip(masks_r, masks_s)):
+        split = []
+        for pts, sig, sol in classes:
+            inside = pts & m_r
+            if inside:
+                split.append((inside, sig | 1 << i, sol & m_s))
+            if inside != pts:
+                split.append((pts ^ inside, sig, sol))
+        if len(split) > limit:
+            return False
+        classes = split
+    return all(
+        sig >> c & 1 or sol & m != sol for _, sig, sol in classes for c, m in enumerate(masks_s)
+    )
 
 
 def _scan_asymmetries(
@@ -340,7 +390,21 @@ def _scan_asymmetries(
     """Every (context, premises, conclusion, implied on r, implied on s)
     where the two implications differ, in scan order: contexts by x- then
     y-count, premise sets () then combinations of the pool by size, and
-    conclusions in pool order."""
+    conclusions in pool order.
+
+    A context is skipped when both representations have the same family
+    of closed sets over the pool.  On r, P => c holds exactly when c is in
+    cl_r(P), the set of atoms true at every point satisfying P; the
+    cl_r-closed sets are the intersections of point signatures (the empty
+    one being the whole pool), and they determine cl_r.  If every
+    signature of r is s-closed, every r-closed set, as an intersection of
+    s-closed sets, is s-closed; with the converse the families and so the
+    closure operators are equal, and no premise set of any size separates
+    r from s.  If the families are equal, every signature of r, being
+    r-closed, is s-closed, so the skip is taken exactly when it is sound.
+    The classes are refined only while they number at most the premise
+    sets the loop would try, so the check never costs more than the loop
+    by more than a constant factor."""
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
     for nx in range(1, bounds.max_xvars + 1):
@@ -353,9 +417,15 @@ def _scan_asymmetries(
             points_s = list(product(range(s.group.order), repeat=ny))
             full_r = (1 << r.p ** (nx * r.dim) * len(points_r)) - 1
             full_s = (1 << s.p ** (nx * s.dim) * len(points_s)) - 1
-            kernel_bits: dict[tuple, int] = {}
-            masks_r = [_atom_sat_mask(r, points_r, a, kernel_bits) for a in atoms]
-            masks_s = [_atom_sat_mask(s, points_s, a, kernel_bits) for a in atoms]
+            memo_r: dict = {}
+            memo_s: dict = {}
+            masks_r = [_atom_sat_mask(r, points_r, a, memo_r) for a in atoms]
+            masks_s = [_atom_sat_mask(s, points_s, a, memo_s) for a in atoms]
+            limit = sum(comb(len(atoms), k) for k in range(max_premises + 1))
+            if _closed_signatures(masks_r, full_r, masks_s, full_s, limit) and (
+                _closed_signatures(masks_s, full_s, masks_r, full_r, limit)
+            ):
+                continue
             # per atom, the assignments on which it fails
             fails = list(zip([full_r & ~m for m in masks_r], [full_s & ~m for m in masks_s]))
             for k in range(max_premises + 1):

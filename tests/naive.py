@@ -1,33 +1,39 @@
 """A maximally naive second route for quasi-identity checking, solution
-sets and group hom enumeration.
+sets, the witness scans, the bounded pools and group hom enumeration.
 
 Formulas are raw syntax trees evaluated by direct recursion, with no
 canonical forms, no reduction, and no reuse of the package's term
 arithmetic.  The only shared vocabulary is the Representation container
 itself.  Solution sets, violating points and atom masks are found by
 visiting every point of the affine space in enumeration order.  Group
-homs are checked against the whole multiplication table.
+homs are checked against the whole multiplication table.  The scan
+oracle tries every premise set against every conclusion.  The pool oracle
+is the one exception to the above: it builds each element term by term
+through the package's module addition.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from repgeo import (
     FreeContext,
     GroupAtom,
     ModuleAtom,
     QuasiIdentity,
+    bounded_words,
     identity_word,
     invert_word,
     module_add,
     module_scale,
+    module_term,
     module_zero,
     multiply_words,
     reduce_word,
     ring_from_terms,
     xgen,
 )
+from repgeo.freemod import atom_key, module_key
 
 # word trees: ("id",) | ("gen", yname) | ("mul", t, t) | ("inv", t)
 # module trees: ("zero",) | ("xgen", xname) | ("add", t, t) | ("neg", t)
@@ -127,6 +133,69 @@ def naive_solutions(rep, xnames, ynames, atoms):
     return [
         pt for pt in naive_points(rep, xnames, ynames) if naive_holds(rep, xnames, ynames, pt, atoms)
     ]
+
+
+def naive_scan_asymmetries(masks_r, full_r, masks_s, full_s, max_premises):
+    """Every (premise indices, conclusion index, implied on r, implied on
+    s) where the two implications differ, trying each premise set of at
+    most max_premises atoms, by size, against each conclusion.  A premise
+    set's solutions are the AND of its masks within full."""
+    fails = list(zip([full_r & ~m for m in masks_r], [full_s & ~m for m in masks_s]))
+    out = []
+    for k in range(max_premises + 1):
+        for prems in combinations(range(len(masks_r)), k):
+            sol_r, sol_s = full_r, full_s
+            for i in prems:
+                sol_r &= masks_r[i]
+                sol_s &= masks_s[i]
+            for c, (fail_r, fail_s) in enumerate(fails):
+                in_r = not sol_r & fail_r
+                in_s = not sol_s & fail_s
+                if in_r != in_s:
+                    out.append((prems, c, in_r, in_s))
+    return out
+
+
+def naive_signatures(masks, npoints):
+    """The distinct point signatures: per point, the set of atom indices
+    whose mask holds there."""
+    return {
+        frozenset(c for c, m in enumerate(masks) if m >> i & 1) for i in range(npoints)
+    }
+
+
+def naive_closed_sets(signatures, natoms):
+    """Every intersection of a set of signatures, the empty one being all
+    natoms atoms."""
+    family = {frozenset(range(natoms))}
+    for sig in signatures:
+        family |= {f & sig for f in family}
+    return family
+
+
+def naive_bounded_module_elements(ctx, field, bounds):
+    """The bounded pool built term by term through module addition, with
+    duplicates dropped and the result sorted canonically."""
+    words = bounded_words(ctx, bounds.max_word_len)
+    singles = [(x, w, c) for x in range(len(ctx.xvars)) for w in words for c in range(1, field.p)]
+    out = []
+    for k in range(1, bounds.max_terms + 1):
+        for picked in combinations(singles, k):
+            if len({(x, w) for x, w, _ in picked}) != k:
+                continue
+            elem = module_zero(ctx, field)
+            for x, w, c in picked:
+                term = module_term(ctx, field, x, ring_from_terms(ctx, field, [(w, c)]))
+                elem = module_add(elem, term)
+            if not elem.is_zero():
+                out.append(elem)
+    return sorted(set(out), key=module_key)
+
+
+def naive_bounded_atoms(ctx, field, bounds):
+    atoms = [GroupAtom(w) for w in bounded_words(ctx, bounds.max_word_len)]
+    atoms += [ModuleAtom(u) for u in naive_bounded_module_elements(ctx, field, bounds)]
+    return sorted(atoms, key=atom_key)
 
 
 # -- conversion of trees to the package's canonical objects -----------------

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -45,7 +49,7 @@ from repgeo import (
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
 from repgeo.errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
-from repgeo.geometry import _atom_sat_mask
+from repgeo.geometry import _atom_sat_mask, _closed_signatures, _scan_asymmetries, scan_context
 from repgeo.linalg import is_invertible, mat_identity, mat_mul
 from repgeo.reps import Representation
 from repgeo.sampling import random_qid, random_representation
@@ -54,8 +58,12 @@ from repgeo.textio import infer_context, parse_qid
 from naive import (
     atom_tree_to_canonical,
     naive_atom_mask,
+    naive_bounded_atoms,
+    naive_closed_sets,
     naive_fulfills,
     naive_least_violation,
+    naive_scan_asymmetries,
+    naive_signatures,
     naive_solutions,
     random_atom_tree,
     random_qid_trees,
@@ -255,6 +263,25 @@ def test_bounded_module_elements_counts(gf2):
     assert len(elems) == 3
     atoms = bounded_atoms(ctx, gf2, SearchBounds(1, 1, 1, 1, 1, 1))
     assert len(atoms) == 3 + 3
+
+
+def test_pools_match_module_add_construction():
+    # p, x- and y-counts, term and word-length bounds; pools over 1,000
+    # elements are left out for the oracle's run time
+    for p, nx, ny, max_terms, max_word_len in product(
+        (2, 3, 5), (1, 2), (1, 2), range(4), range(3)
+    ):
+        ctx, field = scan_context(nx, ny), PrimeField(p)
+        slots = nx * len(bounded_words(ctx, max_word_len))
+        size = sum(comb(slots, k) * (p - 1) ** k for k in range(1, max_terms + 1))
+        if size > 1000:
+            continue
+        bounds = SearchBounds(max_terms=max_terms, max_word_len=max_word_len)
+        atoms = naive_bounded_atoms(ctx, field, bounds)
+        assert bounded_atoms(ctx, field, bounds) == atoms
+        elements = [a.element for a in atoms if isinstance(a, ModuleAtom)]
+        assert len(elements) == size
+        assert bounded_module_elements(ctx, field, bounds) == elements
 
 
 # -- separation certificates -------------------------------------------------
@@ -635,3 +662,95 @@ def test_scans_return_pinned_first_asymmetry(spec, nx, at_expected, qid_expected
     bounds = SearchBounds(max_xvars=nx)
     assert _serialized_at(find_at_witness(r, s, bounds)) == at_expected
     assert _serialized_qid(find_separating_qid(r, s, bounds)) == qid_expected
+
+
+def test_scans_left_out_of_the_benchmark_finish():
+    # the p = 3 demo pair at 1x2 and 2x1 has no witness; these scans once
+    # took far longer than the timeout, so they run in a child process
+    script = (
+        "from repgeo import SearchBounds, find_at_witness, find_separating_qid\n"
+        "from repgeo.audit import build_demo_reps\n"
+        "r, s = build_demo_reps(3)\n"
+        "for nx, ny in ((1, 2), (2, 1)):\n"
+        "    b = SearchBounds(max_xvars=nx, max_yvars=ny)\n"
+        "    print(find_separating_qid(r, s, b), find_at_witness(r, s, b))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["None"] * 4
+
+
+def test_scan_matches_naive_premise_loop():
+    # the scan's full output against every premise set tried on the same
+    # masks.  Contexts whose closed-set families are equal must be skipped
+    # unless a signature count exceeds the loop's premise sets; the others
+    # run the premise loop.  Families that nest one-sidedly, and asymmetries
+    # that need a premise, must occur: a skip test that checks one
+    # direction, or only the closure of no premises, misses those.
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(150):
+        dim_r, dim_s, p, nx, ny = (
+            rng.choice(v) for v in ((1, 2, 3), (1, 2, 3), (2, 3, 5), (1, 2), (1, 2))
+        )
+        order_r = int((1000 / p ** (dim_r * nx)) ** (1 / ny))
+        order_s = int((1000 / p ** (dim_s * nx)) ** (1 / ny))
+        if min(order_r, order_s) < 2:
+            continue
+        r = _cyclic_power_rep(rng, dim_r, p, order_r)
+        s = r if rng.random() < 0.2 else _cyclic_power_rep(rng, dim_s, p, order_s)
+        bounds = SearchBounds(
+            max_xvars=nx, max_yvars=ny, max_terms=rng.choice((1, 2)),
+            max_word_len=rng.choice((0, 1, 2)), max_premises=rng.choice((0, 1, 2)),
+            max_system=rng.choice((0, 1, 2)),
+        )
+        kind = rng.choice(("at", "qid"))
+        if kind == "at":
+            def pool(ctx):
+                return [ModuleAtom(u) for u in bounded_module_elements(ctx, r.field, bounds)]
+            max_premises = bounds.max_system
+        else:
+            def pool(ctx):
+                return bounded_atoms(ctx, r.field, bounds)
+            max_premises = bounds.max_premises
+        if len(pool(scan_context(nx, ny))) > 60:
+            continue
+        got = list(_scan_asymmetries(r, s, bounds, DEFAULT_CAPS, max_premises, pool))
+        expect = []
+        for cx in range(1, nx + 1):
+            for cy in range(1, ny + 1):
+                ctx = scan_context(cx, cy)
+                atoms = pool(ctx)
+                side = []
+                for rep in (r, s):
+                    points = list(product(range(rep.group.order), repeat=cy))
+                    npoints = rep.p ** (cx * rep.dim) * len(points)
+                    memo = {}
+                    masks = [_atom_sat_mask(rep, points, a, memo) for a in atoms]
+                    side.append((masks, (1 << npoints) - 1, naive_signatures(masks, npoints)))
+                (masks_r, full_r, sigs_r), (masks_s, full_s, sigs_s) = side
+                found = naive_scan_asymmetries(masks_r, full_r, masks_s, full_s, max_premises)
+                expect += [
+                    (ctx, tuple(atoms[i] for i in prems), atoms[c], in_r, in_s)
+                    for prems, c, in_r, in_s in found
+                ]
+                family_r = naive_closed_sets(sigs_r, len(atoms))
+                family_s = naive_closed_sets(sigs_s, len(atoms))
+                budget = sum(comb(len(atoms), k) for k in range(max_premises + 1))
+                over = max(len(sigs_r), len(sigs_s)) > budget
+                skipped = _closed_signatures(masks_r, full_r, masks_s, full_s, budget) and (
+                    _closed_signatures(masks_s, full_s, masks_r, full_r, budget)
+                )
+                assert skipped == (family_r == family_s and not over)
+                seen |= {("skipped", skipped), ("over budget", over), ("asymmetry", bool(found))}
+                seen.add(("one-sided", bool(found) and (family_r < family_s or family_s < family_r)))
+                seen.add(("needs a premise", bool(found) and all(prems for prems, *_ in found)))
+                seen |= {("dim", dim_r), ("dim", dim_s), ("p", p), ("nx", cx), ("ny", cy), kind}
+        assert got == expect
+    assert seen >= {("dim", 1), ("dim", 2), ("dim", 3), ("p", 2), ("p", 3), ("p", 5)}
+    assert seen >= {("nx", 1), ("nx", 2), ("ny", 1), ("ny", 2), "at", "qid"}
+    for flag in ("skipped", "over budget", "asymmetry", "one-sided", "needs a premise"):
+        assert {(flag, True), (flag, False)} <= seen
