@@ -1,8 +1,14 @@
 """Command-line front end.
 
+Each subcommand's handler is set on its subparser, and the parser is
+built once, at import.  ``run`` calls the handler, adds the command and
+``timing_ms`` to its payload, and turns any ``RepGeoError`` or
+``OSError`` into one error document.
+
 Exit codes: 0 = holds / equivalent / member, 1 = fails / not equivalent /
-non-member, 2 = unknown, 3 = input or cap error.  With --json the output
-is a single JSON document; the human output mirrors it.
+non-member, 2 = unknown, 3 = input or cap error, usage errors included.
+With --json, given before the subcommand, the output is a single JSON
+document; the human output mirrors it.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from pathlib import Path
 
 from .audit import SUPPORTED_PRIMES, paper_demo, render_report, report_jsonable
 from .config import DEFAULT_BOUNDS, SearchBounds
-from .errors import ParseError, RepGeoError
+from .errors import InvalidInput, ParseError, RepGeoError
 from .freemod import ModuleAtom, QuasiIdentity
 from .geometry import (
     AtChainCertificate,
@@ -109,22 +115,13 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _emit(args, payload: dict, human: str) -> int:
-    code = _EXIT[payload["outcome"]]
-    if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        print(human)
-    return code
-
-
-def _verdict_payload(verdict) -> tuple[str, dict]:
+def _verdict(verdict) -> dict:
     if isinstance(verdict, Equivalent):
-        return "equivalent", {"certificate": _jsonable(verdict.certificate)}
+        return {"outcome": "equivalent", "certificate": _jsonable(verdict.certificate)}
     if isinstance(verdict, NotEquivalent):
-        return "not-equivalent", {"witness": _jsonable(verdict.witness)}
+        return {"outcome": "not-equivalent", "witness": _jsonable(verdict.witness)}
     assert isinstance(verdict, Unknown)
-    return "unknown", {"bounds": vars(verdict.bounds)}
+    return {"outcome": "unknown", "bounds": vars(verdict.bounds)}
 
 
 def _bounds_from(args) -> SearchBounds:
@@ -140,21 +137,113 @@ def _bounds_from(args) -> SearchBounds:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidInput(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None
+
+
+# ---------------------------------------------------------------------------
+# One handler per subcommand: (args) -> (payload, human text).  The payload
+# holds everything but "command" and "timing_ms", which run adds.
+
+
+def _check_geo(args) -> tuple[dict, str]:
+    verdict = geo_equivalent(args.parse_file(_read(args.a)), args.parse_file(_read(args.b)))
+    payload = {"inputs": [args.a, args.b], **_verdict(verdict)}
+    return payload, payload["outcome"]
+
+
+def _check_at(args) -> tuple[dict, str]:
+    r1 = parse_rep_file(_read(args.r1))
+    r2 = parse_rep_file(_read(args.r2))
+    bounds = _bounds_from(args)
+    verdict = at_equivalent(r1, r2, bounds)
+    payload = {"inputs": [args.r1, args.r2], "bounds": vars(bounds), **_verdict(verdict)}
+    return payload, payload["outcome"]
+
+
+def _qid(args) -> tuple[dict, str]:
+    rep = parse_rep_file(_read(args.rep))
+    q = parse_qid(args.formula, infer_context(args.formula), rep.field)
+    ok, witness = fulfills_qid(rep, q)
+    outcome = "fulfilled" if ok else "not-fulfilled"
+    wit = None
+    if witness is not None:
+        wit = {
+            "x": [list(v) for v in witness.xmap],
+            "y": [rep.group.names[i] for i in witness.ymap],
+        }
+    payload = {"inputs": [args.rep, args.formula], "outcome": outcome, "witness": wit}
+    return payload, outcome if ok else f"{outcome}, witness {wit}"
+
+
+def _closure(args) -> tuple[dict, str]:
+    rep = parse_rep_file(_read(args.rep))
+    ctx, system = parse_system_file(_read(args.system), rep.field)
+    atom = parse_atom(args.member, ctx, rep.field)
+    if args.action_type:
+        if not isinstance(atom, ModuleAtom) or not system.is_action_type():
+            raise RepGeoError(
+                "--action-type needs a module atom and a system without group equations"
+            )
+        member = in_at_closure(rep, system, atom.element)
+    else:
+        member = in_closure(rep, system, atom)
+    outcome = "member" if member else "non-member"
+    return {"inputs": [args.rep, args.system, args.member], "outcome": outcome}, outcome
+
+
+def _faithful(args) -> tuple[dict, str]:
+    fi = faithful_image(parse_rep_file(_read(args.rep)))
+    text = serialize(fi.quotient)
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+    certificate = {"quotient": text, "sigma": [fi.quotient.group.names[c] for c in fi.sigma]}
+    payload = {"inputs": [args.rep], "outcome": "ok", "certificate": certificate}
+    return payload, f"written to {args.output}" if args.output else text
+
+
+def _homs(args) -> tuple[dict, str]:
+    if args.reps:
+        parse, enumerate_homs = parse_rep_file, enumerate_rep_homs
+    else:
+        parse, enumerate_homs = parse_group_file, enumerate_group_homs
+    homs = enumerate_homs(parse(_read(args.a)), parse(_read(args.b)))
+    certificate = {"count": len(homs), "homs": [_jsonable(h) for h in homs]}
+    payload = {"inputs": [args.a, args.b], "outcome": "ok", "certificate": certificate}
+    return payload, f"{len(homs)} homomorphisms"
+
+
+def _paper_demo(args) -> tuple[dict, str]:
+    report = paper_demo(args.p)
+    payload = {"inputs": {"p": args.p}, "outcome": "ok", "certificate": report_jsonable(report)}
+    return payload, render_report(report)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 3, an input error;
+    argparse's own 2 would read as unknown."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="repgeo")
+    ap = _Parser(prog="repgeo")
     ap.add_argument("--json", action="store_true", help="emit JSON output")
     sub = ap.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("check-geo-groups", help="geometric equivalence of two groups")
-    s.add_argument("g1")
-    s.add_argument("g2")
+    s.add_argument("a", metavar="g1")
+    s.add_argument("b", metavar="g2")
+    s.set_defaults(handler=_check_geo, parse_file=parse_group_file)
 
     s = sub.add_parser("check-geo", help="geometric equivalence of two representations")
-    s.add_argument("r1")
-    s.add_argument("r2")
+    s.add_argument("a", metavar="r1")
+    s.add_argument("b", metavar="r2")
+    s.set_defaults(handler=_check_geo, parse_file=parse_rep_file)
 
     s = sub.add_parser("check-at", help="action-type geometric equivalence")
     s.add_argument("r1")
@@ -162,197 +251,53 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-word-len", type=int)
     s.add_argument("--max-terms", type=int)
     s.add_argument("--max-vars", type=int)
+    s.set_defaults(handler=_check_at)
 
     s = sub.add_parser("qid", help="check a quasi-identity on a representation")
     s.add_argument("rep")
     s.add_argument("formula")
+    s.set_defaults(handler=_qid)
 
     s = sub.add_parser("closure", help="closure membership of an atom")
     s.add_argument("rep")
     s.add_argument("--system", required=True)
     s.add_argument("--member", required=True)
     s.add_argument("--action-type", action="store_true")
+    s.set_defaults(handler=_closure)
 
     s = sub.add_parser("faithful", help="compute the faithful image")
     s.add_argument("rep")
     s.add_argument("-o", "--output")
+    s.set_defaults(handler=_faithful)
 
     s = sub.add_parser("homs", help="enumerate homomorphisms")
     s.add_argument("a")
     s.add_argument("b")
     s.add_argument("--reps", action="store_true")
+    s.set_defaults(handler=_homs)
 
     s = sub.add_parser("paper-demo", help="audit the counterexample construction")
     s.add_argument("--p", type=int, default=2, choices=SUPPORTED_PRIMES)
+    s.set_defaults(handler=_paper_demo)
     return ap
 
 
+_PARSER = build_parser()
+
+
 def run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     t0 = time.perf_counter()
-
-    def done(payload: dict, human: str) -> int:
-        payload["timing_ms"] = int((time.perf_counter() - t0) * 1000)
-        return _emit(args, payload, human)
-
     try:
-        if args.command == "check-geo-groups":
-            g1 = parse_group_file(_read(args.g1))
-            g2 = parse_group_file(_read(args.g2))
-            verdict = geo_equivalent(g1, g2)
-            outcome, extra = _verdict_payload(verdict)
-            return done(
-                {"command": args.command, "inputs": [args.g1, args.g2], "outcome": outcome, **extra},
-                f"{outcome}",
-            )
-
-        if args.command == "check-geo":
-            r1 = parse_rep_file(_read(args.r1))
-            r2 = parse_rep_file(_read(args.r2))
-            verdict = geo_equivalent(r1, r2)
-            outcome, extra = _verdict_payload(verdict)
-            return done(
-                {"command": args.command, "inputs": [args.r1, args.r2], "outcome": outcome, **extra},
-                f"{outcome}",
-            )
-
-        if args.command == "check-at":
-            r1 = parse_rep_file(_read(args.r1))
-            r2 = parse_rep_file(_read(args.r2))
-            bounds = _bounds_from(args)
-            verdict = at_equivalent(r1, r2, bounds)
-            outcome, extra = _verdict_payload(verdict)
-            return done(
-                {
-                    "command": args.command,
-                    "inputs": [args.r1, args.r2],
-                    "outcome": outcome,
-                    "bounds": vars(bounds),
-                    **extra,
-                },
-                f"{outcome}",
-            )
-
-        if args.command == "qid":
-            rep = parse_rep_file(_read(args.rep))
-            ctx = infer_context(args.formula)
-            q = parse_qid(args.formula, ctx, rep.field)
-            ok, witness = fulfills_qid(rep, q)
-            outcome = "fulfilled" if ok else "not-fulfilled"
-            wit = (
-                None
-                if witness is None
-                else {
-                    "x": [list(v) for v in witness.xmap],
-                    "y": [rep.group.names[i] for i in witness.ymap],
-                }
-            )
-            human = outcome if ok else f"{outcome}, witness {wit}"
-            return done(
-                {
-                    "command": args.command,
-                    "inputs": [args.rep, args.formula],
-                    "outcome": outcome,
-                    "witness": wit,
-                },
-                human,
-            )
-
-        if args.command == "closure":
-            rep = parse_rep_file(_read(args.rep))
-            ctx, system = parse_system_file(_read(args.system), rep.field)
-            atom = parse_atom(args.member, ctx, rep.field)
-            if args.action_type:
-                if not isinstance(atom, ModuleAtom) or not system.is_action_type():
-                    raise RepGeoError(
-                        "--action-type needs a module atom and a system without group equations"
-                    )
-                member = in_at_closure(rep, system, atom.element)
-            else:
-                member = in_closure(rep, system, atom)
-            outcome = "member" if member else "non-member"
-            return done(
-                {
-                    "command": args.command,
-                    "inputs": [args.rep, args.system, args.member],
-                    "outcome": outcome,
-                },
-                outcome,
-            )
-
-        if args.command == "faithful":
-            rep = parse_rep_file(_read(args.rep))
-            fi = faithful_image(rep)
-            text = serialize(fi.quotient)
-            if args.output:
-                Path(args.output).write_text(text, encoding="utf-8")
-            human = text if not args.output else f"written to {args.output}"
-            return done(
-                {
-                    "command": args.command,
-                    "inputs": [args.rep],
-                    "outcome": "ok",
-                    "certificate": {
-                        "quotient": text,
-                        "sigma": [
-                            fi.quotient.group.names[c] for c in fi.sigma
-                        ],
-                    },
-                },
-                human,
-            )
-
-        if args.command == "homs":
-            if args.reps:
-                a = parse_rep_file(_read(args.a))
-                b = parse_rep_file(_read(args.b))
-                homs = enumerate_rep_homs(a, b)
-            else:
-                a = parse_group_file(_read(args.a))
-                b = parse_group_file(_read(args.b))
-                homs = enumerate_group_homs(a, b)
-            human = f"{len(homs)} homomorphisms"
-            return done(
-                {
-                    "command": args.command,
-                    "inputs": [args.a, args.b],
-                    "outcome": "ok",
-                    "certificate": {"count": len(homs), "homs": [_jsonable(h) for h in homs]},
-                },
-                human,
-            )
-
-        if args.command == "paper-demo":
-            report = paper_demo(args.p)
-            return done(
-                {
-                    "command": args.command,
-                    "inputs": {"p": args.p},
-                    "outcome": "ok",
-                    "certificate": report_jsonable(report),
-                },
-                render_report(report),
-            )
-
-        raise RepGeoError(f"unknown command {args.command!r}")
-    except RepGeoError as e:
-        payload = {"command": args.command, "outcome": "error", "error": str(e)}
+        payload, human = args.handler(args)
+    except (RepGeoError, OSError) as e:
+        payload, human = {"outcome": "error", "error": str(e)}, f"error: {e}"
         if isinstance(e, ParseError):
-            payload["span"] = {
-                "line": e.span.line,
-                "column": e.span.column,
-                "length": e.span.length,
-            }
-        payload["timing_ms"] = int((time.perf_counter() - t0) * 1000)
-        return _emit(args, payload, f"error: {e}")
-    except OSError as e:
-        payload = {
-            "command": args.command,
-            "outcome": "error",
-            "error": str(e),
-            "timing_ms": int((time.perf_counter() - t0) * 1000),
-        }
-        return _emit(args, payload, f"error: {e}")
+            payload["span"] = vars(e.span)
+    payload["command"] = args.command
+    payload["timing_ms"] = int((time.perf_counter() - t0) * 1000)
+    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else human)
+    return _EXIT[payload["outcome"]]
 
 
 def main(argv=None) -> int:

@@ -279,9 +279,11 @@ def bounded_module_elements(
 
 
 def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
+    # already in atom_key order: group atoms in shortlex order, then module
+    # atoms in module_key order
     atoms: list[Atom] = [GroupAtom(w) for w in bounded_words(ctx, bounds.max_word_len)]
     atoms.extend(ModuleAtom(u) for u in bounded_module_elements(ctx, field, bounds))
-    return sorted(atoms, key=atom_key)
+    return atoms
 
 
 # ---------------------------------------------------------------------------

@@ -372,8 +372,9 @@ class _LineReader:
 
 
 def _parse_matrix_literal(lineno: int, line: str, text: str) -> list[list[int]]:
+    """``text`` is what follows the first "=" of ``line``."""
     s = text.replace(" ", "")
-    col = line.index(text.strip()[0]) + 1 if text.strip() else 1
+    col = line.index("=") + len(text) - len(text.lstrip()) + 2
     err = ParseError(SourceSpan(lineno, col, max(len(text.strip()), 1)), "a matrix literal [[..],[..]]")
     if not (s.startswith("[[") and s.endswith("]]")):
         raise err
@@ -478,8 +479,6 @@ def _parse_group_block(reader: _LineReader, caps: EnumerationCaps) -> FiniteGrou
 
 def parse_group_file(text: str, caps: EnumerationCaps = DEFAULT_CAPS) -> FiniteGroup:
     reader = _LineReader(text)
-    if reader.peek() is None:
-        raise ParseError(SourceSpan(1, 1, 1), "group")
     g = _parse_group_block(reader, caps)
     extra = reader.take()
     if extra is not None:
@@ -489,8 +488,6 @@ def parse_group_file(text: str, caps: EnumerationCaps = DEFAULT_CAPS) -> FiniteG
 
 def parse_rep_file(text: str, caps: EnumerationCaps = DEFAULT_CAPS) -> Representation:
     reader = _LineReader(text)
-    if reader.peek() is None:
-        raise ParseError(SourceSpan(1, 1, 1), "field")
     lineno, line = reader.require("field")
     parts = line.split()
     if len(parts) != 2 or parts[0] != "field" or not parts[1].startswith("p="):
@@ -528,8 +525,6 @@ def parse_system_file(
     text: str, field: PrimeField, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> tuple[FreeContext, EquationSystem]:
     reader = _LineReader(text)
-    if reader.peek() is None:
-        raise ParseError(SourceSpan(1, 1, 1), "xvars")
     lineno, line = reader.require("xvars")
     parts = line.split()
     if not parts or parts[0] != "xvars" or len(parts) < 2:

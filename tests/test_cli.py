@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from repgeo.cli import main
+from repgeo.config import DEFAULT_BOUNDS
 
 R1_FILE = """\
 field p=2
@@ -209,3 +211,88 @@ def test_human_output_not_json(files, capsys):
     code = main(["qid", files["r1.rep"], "=> y*y = 1"])
     out = capsys.readouterr().out
     assert code == 0 and out.strip() == "fulfilled"
+
+
+# Golden CLI output: every subcommand in --json and human mode on the
+# fixture files above, compared in full with timing_ms normalised and the
+# temporary directory written as TMP; an argument naming a fixture file
+# stands for its path.  The recorded outputs live in
+# cli_golden.json next to this file.
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "cli_golden.json")
+CAP_QID = "x1*y - x1 = 0 => " + " + ".join(f"x{i}" for i in range(1, 13)) + " = 0"
+GOLDEN_CASES = {
+    "check-geo-groups-equivalent": ["check-geo-groups", "z2.grp", "v4.grp"],
+    "check-geo-groups-not-equivalent": ["check-geo-groups", "z2.grp", "z3.grp"],
+    "check-geo": ["check-geo", "r1.rep", "r2.rep"],
+    "check-at-equivalent": ["check-at", "r1.rep", "r2.rep"],
+    "check-at-not-equivalent": ["check-at", "r1.rep", "triv.rep"],
+    "check-at-unknown": ["check-at", "r1.rep", "triv.rep", "--max-word-len", "0"],
+    "qid-fulfilled": ["qid", "r1.rep", "=> y*y = 1"],
+    "qid-not-fulfilled": ["qid", "r1.rep", "x*y - x = 0 => y = 1"],
+    "closure": ["closure", "r1.rep", "--system", "t.sys", "--member", "x = 0"],
+    "closure-action-type": ["closure", "r1.rep", "--system", "t.sys",
+                            "--member", "x*y^2 - x = 0", "--action-type"],
+    "faithful": ["faithful", "r2.rep"],
+    "faithful-output": ["faithful", "r2.rep", "-o", "quot.rep"],
+    "homs": ["homs", "v4.grp", "z2.grp"],
+    "homs-reps": ["homs", "r1.rep", "r1.rep", "--reps"],
+    "paper-demo": ["paper-demo", "--p", "2"],
+    "error-parse": ["qid", "bad.rep", "y = 1"],
+    "error-missing-file": ["qid", "missing.rep", "y = 1"],
+    "error-cap": ["qid", "r1.rep", CAP_QID],
+}
+
+
+def test_golden_output(files, tmp_path, capsys):
+    (tmp_path / "bad.rep").write_text("field p=2\nnonsense\n", encoding="utf-8")
+    paths = dict(files)
+    paths.update({name: str(tmp_path / name) for name in ("bad.rep", "missing.rep", "quot.rep")})
+    outputs = {}
+    for case, argv in GOLDEN_CASES.items():
+        argv = [paths.get(a, a) for a in argv]
+        for mode, prefix in (("json", ["--json"]), ("human", [])):
+            code = main(prefix + argv)
+            out = capsys.readouterr().out.replace(str(tmp_path), "TMP")
+            out = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out)
+            outputs[f"{case} {mode}"] = {"exit": code, "stdout": out}
+    with open(GOLDEN_PATH, encoding="utf-8") as f:
+        assert outputs == json.load(f)
+
+
+def test_bound_flags_do_not_leak_between_calls(files, capsys):
+    argv = ["check-at", files["r1.rep"], files["triv.rep"]]
+    _, doc = _json_run(capsys, argv + ["--max-word-len", "0"])
+    assert doc["bounds"]["max_word_len"] == 0
+    _, doc = _json_run(capsys, argv)
+    assert doc["bounds"] == vars(DEFAULT_BOUNDS)
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["qid"],
+    ["qid", "r1.rep", "x = 0", "--json"],
+    ["check-at", "r1.rep", "r2.rep", "--max-vars", "x"],
+    ["paper-demo", "--p", "4"],
+    ["no-such-command"],
+])
+def test_usage_error_exit_3(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "repgeo" in captured.err and "error:" in captured.err
+
+
+def test_help_exit_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["qid", "--help"])
+    assert e.value.code == 0
+    assert "usage: repgeo qid" in capsys.readouterr().out
+
+
+def test_non_utf8_file_exit_3(tmp_path, capsys):
+    latin = tmp_path / "latin.rep"
+    latin.write_bytes(b"field p=2 # caf\xe9\n")
+    code, doc = _json_run(capsys, ["qid", str(latin), "=> y = 1"])
+    assert code == 3 and doc["outcome"] == "error"
+    assert str(latin) in doc["error"] and "UTF-8" in doc["error"]

@@ -117,10 +117,26 @@ def test_rep_file_not_an_action():
 
 
 def test_empty_rep_file():
-    with pytest.raises(ParseError) as e:
-        parse_rep_file("")
-    assert (e.value.span.line, e.value.span.column) == (1, 1)
-    assert "field" in e.value.expected
+    # also group and system files, and files holding only comments
+    parsers = [
+        (parse_rep_file, "field"),
+        (parse_group_file, "group"),
+        (lambda text: parse_system_file(text, PrimeField(2)), "xvars"),
+    ]
+    for parse, first in parsers:
+        for text in ("", "# nothing here\n\n"):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert (e.value.span.line, e.value.span.column) == (1, 1)
+            assert e.value.expected == first
+
+
+def test_bad_matrix_literal_column():
+    head = "field p=2\ngroup cyclic(2) as a\ndim 2\n"
+    for act, column in [("act a = a", 9), ("act a =  [[1,0],[0,1]", 10), ("act a=[[1,0]]x", 7)]:
+        with pytest.raises(ParseError) as e:
+            parse_rep_file(head + act + "\n")
+        assert (e.value.span.line, e.value.span.column) == (4, column), act
 
 
 def test_group_file_table_form():
