@@ -65,6 +65,46 @@ _EXIT = {
 }
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
+    payloads whose dict keys are strings; ``nl`` is the newline plus the
+    indentation of the line ``obj`` starts on.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; here
+    the structure walk stays in Python, but each list of strings (hom
+    images, element names) is escaped and joined at C speed, with one
+    escape call for the whole list when no item needs escaping.
+    """
+    if isinstance(obj, str):
+        return _escape(obj)
+    inner = nl + "  "
+    sep = "," + inner
+    # the f-strings copy a large body once, where chained + would copy it
+    # once per operator
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_escape(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        return f"{{{inner}{sep.join(items)}{nl}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            joined = "".join(obj)
+        except TypeError:  # not only strings
+            items = [_dumps(x, inner) for x in obj]
+        else:
+            if _escape(joined) == '"' + joined + '"':  # no item needs escaping
+                items = ['"' + ('"' + sep + '"').join(obj) + '"']
+            else:
+                items = map(_escape, obj)
+        return f"[{inner}{sep.join(items)}{nl}]"
+    return json.dumps(obj)
+
+
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -73,13 +113,13 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, GroupHom):
-        return {"image": [obj.codomain.names[i] for i in obj.image]}
+        return {"image": list(map(obj.codomain.names.__getitem__, obj.image))}
     if isinstance(obj, RepHom):
         return {
             "matrix": [list(r) for r in obj.matrix],
-            "group_image": [
-                obj.target.group.names[i] for i in obj.grouphom.image
-            ],
+            "group_image": list(
+                map(obj.target.group.names.__getitem__, obj.grouphom.image)
+            ),
         }
     if isinstance(obj, SeparationCertificate):
         return {
@@ -296,7 +336,7 @@ def run(argv) -> int:
             payload["span"] = vars(e.span)
     payload["command"] = args.command
     payload["timing_ms"] = int((time.perf_counter() - t0) * 1000)
-    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else human)
+    print(_dumps(payload) if args.json else human)
     return _EXIT[payload["outcome"]]
 
 

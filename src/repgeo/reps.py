@@ -22,6 +22,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
+    _cayley_graph,
     compose_group_homs,
     enumerate_group_homs,
     hom_defect,
@@ -182,18 +183,24 @@ def enumerate_rep_homs(
 ) -> list[RepHom]:
     """All representation homomorphisms (alpha, beta): R -> S.
 
-    For each group hom beta the equivariance conditions are linear in
-    the entries of the matrix; we enumerate the nullspace.  Order is
+    For each group hom beta the equivariance conditions
+    act_r(g) . A = A . act_s(beta(g)) are linear in the entries of the
+    matrix A; we enumerate the nullspace.  The equations are written for
+    the greedy generators of R's group only (``_cayley_graph``).  That is
+    exact: act_r, act_s and beta are homomorphisms, so if A intertwines at
+    g and at a generator t, it intertwines at g * t, and every element is
+    reached from the identity along such Cayley-graph edges.  Order is
     deterministic: beta image table first, then matrix entries.
     """
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
     p = r.p
     nunk = r.dim * s.dim
+    gens = _cayley_graph(r.group.table)[0]
     out: list[RepHom] = []
     for beta in enumerate_group_homs(r.group, s.group, caps):
         rows = []
-        for g in range(r.group.order):
+        for g in gens:
             ra = r.act[g]
             sa = s.act[beta.image[g]]
             for i in range(r.dim):

@@ -7,9 +7,11 @@ arithmetic.  The only shared vocabulary is the Representation container
 itself.  Solution sets, violating points and atom masks are found by
 visiting every point of the affine space in enumeration order.  Group
 homs are checked against the whole multiplication table.  The scan
-oracle tries every premise set against every conclusion.  The pool oracle
-is the one exception to the above: it builds each element term by term
-through the package's module addition.
+oracle tries every premise set against every conclusion.  Two oracles are
+exceptions to the above: the pool oracle builds each element term by term
+through the package's module addition, and the rep hom oracle solves its
+intertwiner equations, one block per group element, with the package's
+nullspace.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repgeo import (
     xgen,
 )
 from repgeo.freemod import atom_key, module_key
+from repgeo.linalg import nullspace, span_elements
 
 # word trees: ("id",) | ("gen", yname) | ("mul", t, t) | ("inv", t)
 # module trees: ("zero",) | ("xgen", xname) | ("add", t, t) | ("neg", t)
@@ -340,3 +343,33 @@ def naive_group_homs(g, h):
         ):
             found.add(tuple(image))
     return sorted(found)
+
+
+# -- representation homomorphisms, equations at every group element ----------
+
+
+def naive_rep_homs(r, s):
+    """(beta image table, matrix) of every rep hom R -> S, in the package's
+    order: for each group hom beta (naive_group_homs) the equations
+    act_r(g) . A = A . act_s(beta(g)) are written for every element g of
+    R's group, and the solutions are listed in sorted order."""
+    p = r.p
+    nunk = r.dim * s.dim
+    out = []
+    for image in naive_group_homs(r.group, s.group):
+        rows = []
+        for g in range(r.group.order):
+            ra = r.act[g]
+            sa = s.act[image[g]]
+            for i in range(r.dim):
+                for j in range(s.dim):
+                    row = [0] * nunk
+                    for k in range(r.dim):
+                        row[k * s.dim + j] = (row[k * s.dim + j] + ra[i][k]) % p
+                    for l in range(s.dim):
+                        row[i * s.dim + l] = (row[i * s.dim + l] - sa[l][j]) % p
+                    rows.append(row)
+        for e in sorted(span_elements(p, nullspace(p, rows, nunk), nunk)):
+            m = tuple(tuple(e[i * s.dim : (i + 1) * s.dim]) for i in range(r.dim))
+            out.append((image, m))
+    return out

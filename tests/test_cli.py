@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repgeo.cli import main
+from repgeo.cli import _dumps, main
 from repgeo.config import DEFAULT_BOUNDS
 
 R1_FILE = """\
@@ -296,3 +298,42 @@ def test_non_utf8_file_exit_3(tmp_path, capsys):
     code, doc = _json_run(capsys, ["qid", str(latin), "=> y = 1"])
     assert code == 3 and doc["outcome"] == "error"
     assert str(latin) in doc["error"] and "UTF-8" in doc["error"]
+
+
+# strings json must escape (quote, backslash, control characters, non-ASCII,
+# astral and lone surrogates), DEL, which it leaves alone, and the empty string
+_ODD = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", "\u2028", "\U0001f600", "\ud800", ""]
+_TEXT = st.one_of(st.text(max_size=6), st.lists(st.sampled_from(_ODD), max_size=3).map("".join))
+_PAYLOAD = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.lists(_TEXT, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOAD)
+@example({"a": [], "b": {}, "c": ()})
+@example(["plain", "names"])
+@example(["", ""])
+@example(['a"b', "c\\d", "é"])
+@example(["x", 1, None, True, "", ["y"], {"z": "é"}])
+def test_writer_matches_json_dumps(payload):
+    assert _dumps(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+def test_homs_json_escapes_element_names(tmp_path, capsys):
+    # element names that json must escape, in hom images and in the inputs
+    names = ['é', 'a"b', "c\\d"]
+    rows = "".join(f"row {' '.join(names[i:] + names[:i])}\n" for i in range(3))
+    grp = tmp_path / "odd.grp"
+    grp.write_text(f"group table\nelements {' '.join(names)}\n{rows}", encoding="utf-8")
+    code = main(["--json", "homs", str(grp), str(grp)])
+    out = capsys.readouterr().out
+    assert code == 0 and json.loads(out)["certificate"]["count"] == 3
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

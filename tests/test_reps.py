@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
 
 from repgeo import (
+    EnumerationCapExceeded,
     NotAnAction,
+    PrimeField,
     check_rep_hom,
     compose_rep_homs,
     enumerate_rep_homs,
@@ -14,9 +17,13 @@ from repgeo import (
     rep_kernel,
     stabilizer,
 )
+from repgeo.config import EnumerationCaps
 from repgeo.groups import normality_witness
 from repgeo.linalg import mat_identity
-from repgeo.sampling import random_representation
+from repgeo.sampling import general_linear_group, random_representation
+
+from naive import naive_rep_homs
+from test_geometry import _cyclic_power_rep
 
 
 def test_r1_action_examples(r1):
@@ -167,3 +174,59 @@ def test_action_law_random():
 
                 assert mat_mul(rep.p, rep.act[g], rep.act[h]) == rep.act[rep.group.table[g][h]]
         assert rep.act[0] == mat_identity(rep.dim)
+
+
+def _s3_reps(field):
+    """Over GF(2): the natural rep of S3 = GL(2,2) (faithful), its sign
+    acting by the swap matrix (kernel A3) and the trivial line."""
+    s3, mats = general_linear_group(2, 2)
+    natural = make_representation(field, 2, s3, dict(enumerate(mats)))
+    swap, ident = ((0, 1), (1, 0)), mat_identity(2)
+    # the elements of order 2 are the odd permutations
+    odd = {g for g in range(s3.order) if g and s3.table[g][g] == 0}
+    sign = make_representation(field, 2, s3, {g: swap if g in odd else ident for g in range(s3.order)})
+    trivial = make_representation(field, 1, s3, {g: ((1,),) for g in range(s3.order)})
+    return [natural, sign, trivial]
+
+
+def _rep_hom_pairs():
+    rng = random.Random(29)
+    pairs = []
+    for _ in range(25):
+        r = random_representation(rng)
+        pairs.append((r, random_representation(rng, primes=(r.p,))))
+    for _ in range(6):
+        pairs.append(tuple(_cyclic_power_rep(rng, 3, 5, 12) for _ in range(2)))
+    s3 = _s3_reps(PrimeField(2))
+    pairs += [(a, b) for a in s3 for b in s3]
+    cyclic2 = [random_representation(rng, primes=(2,), group_keys=(2, 3)) for _ in range(3)]
+    pairs += [(a, b) for a in s3 for b in cyclic2] + [(b, a) for a in s3 for b in cyclic2]
+    return pairs
+
+
+def test_rep_homs_match_all_elements_equations():
+    # the library writes the intertwiner equations for the generators only,
+    # the oracle for every element; the lists must agree in full, in order
+    seen = set()
+    for r, s in _rep_hom_pairs():
+        got = [(h.grouphom.image, h.matrix) for h in enumerate_rep_homs(r, s)]
+        assert got == naive_rep_homs(r, s)
+        per_beta = Counter(image for image, _ in got).values()
+        seen |= {("dim", r.dim), ("p", r.p), ("only the zero matrix", min(per_beta) == 1)}
+        seen.add(("non-abelian", any(
+            r.group.table[a][b] != r.group.table[b][a]
+            for a in range(r.group.order) for b in range(r.group.order)
+        )))
+        seen.add(("non-faithful", rep_kernel(r).order > 1))
+    assert seen >= {("dim", d) for d in (1, 2, 3)} | {("p", p) for p in (2, 3, 5)} | {
+        ("only the zero matrix", True), ("only the zero matrix", False),
+        ("non-abelian", True), ("non-faithful", True)}
+
+
+def test_max_matrices_per_beta_cap(trivial_rep):
+    # Z2 acting trivially on GF(2)^2: every 2x2 matrix intertwines, 2^4 = 16
+    # per group hom, and Z2 has two endomorphisms
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_rep_homs(trivial_rep, trivial_rep, EnumerationCaps(max_matrices_per_beta=15))
+    homs = enumerate_rep_homs(trivial_rep, trivial_rep, EnumerationCaps(max_matrices_per_beta=16))
+    assert len(homs) == 2 * 16
