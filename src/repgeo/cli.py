@@ -18,6 +18,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 from .audit import SUPPORTED_PRIMES, paper_demo, render_report, report_jsonable
@@ -68,52 +69,71 @@ _EXIT = {
 _escape = json.encoder.encode_basestring_ascii
 
 
-def _dumps(obj, nl: str = "\n") -> str:
+def _dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
-    payloads whose dict keys are strings; ``nl`` is the newline plus the
-    indentation of the line ``obj`` starts on.
+    payloads whose dict keys are strings, with each ``GroupHom`` written as
+    ``{"image": [...]}`` in its codomain's element names.
 
-    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder; here
-    the structure walk stays in Python, but each list of strings (hom
-    images, element names) is escaped and joined at C speed, with one
-    escape call for the whole list when no item needs escaping.
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
+    the walk stays in Python, but lists of strings are escaped and joined
+    at C speed (one escape call when no item needs escaping), a codomain's
+    names are escaped once, and the pieces are joined once, at the end.
     """
-    if isinstance(obj, str):
-        return _escape(obj)
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _write(obj, nl: str, out: list[str]) -> None:
+    """Append ``obj``'s JSON to ``out``; ``nl`` is the newline and indent it starts on."""
     inner = nl + "  "
-    sep = "," + inner
-    # the f-strings copy a large body once, where chained + would copy it
-    # once per operator
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_escape(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
-        return f"{{{inner}{sep.join(items)}{nl}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif type(obj) is int:  # not bool, which json writes as true/false
+        out.append(str(obj))
+    elif isinstance(obj, GroupHom):
+        names = _escaped_names(obj.codomain.names)
+        image = ("," + inner + "  ").join([names[x] for x in obj.image])
+        out.append(f'{{{inner}"image": [{inner}  {image}{inner}]{nl}}}')
+    elif not isinstance(obj, (dict, list, tuple)):
+        out.append(json.dumps(obj))
+    elif not obj:
+        out.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        for n, (k, v) in enumerate(sorted(obj.items())):
+            out.append(("," if n else "{") + inner + _escape(k) + ": ")
+            _write(v, inner, out)
+        out.append(nl + "}")
+    else:
         try:
             joined = "".join(obj)
         except TypeError:  # not only strings
-            items = [_dumps(x, inner) for x in obj]
+            for n, x in enumerate(obj):
+                out.append(("," if n else "[") + inner)
+                _write(x, inner, out)
+            out.append(nl + "]")
         else:
+            sep = "," + inner
             if _escape(joined) == '"' + joined + '"':  # no item needs escaping
-                items = ['"' + ('"' + sep + '"').join(obj) + '"']
+                items = '"' + ('"' + sep + '"').join(obj) + '"'
             else:
-                items = map(_escape, obj)
-        return f"[{inner}{sep.join(items)}{nl}]"
-    return json.dumps(obj)
+                items = sep.join(map(_escape, obj))
+            out.append(f"[{inner}{items}{nl}]")
+
+
+@lru_cache(maxsize=16)
+def _escaped_names(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(map(_escape, names))
 
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
+    """``obj`` as JSON data for ``_dumps``; group homs stay as they are."""
+    if obj is None or isinstance(obj, (bool, int, str, GroupHom)):
         return obj
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, GroupHom):
-        return {"image": list(map(obj.codomain.names.__getitem__, obj.image))}
     if isinstance(obj, RepHom):
         return {
             "matrix": [list(r) for r in obj.matrix],
@@ -250,7 +270,7 @@ def _homs(args) -> tuple[dict, str]:
     else:
         parse, enumerate_homs = parse_group_file, enumerate_group_homs
     homs = enumerate_homs(parse(_read(args.a)), parse(_read(args.b)))
-    certificate = {"count": len(homs), "homs": [_jsonable(h) for h in homs]}
+    certificate = {"count": len(homs), "homs": list(map(_jsonable, homs))}
     payload = {"inputs": [args.a, args.b], "outcome": "ok", "certificate": certificate}
     return payload, f"{len(homs)} homomorphisms"
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repgeo import cyclic_group, enumerate_group_homs, group_from_table
 from repgeo.cli import _dumps, main
 from repgeo.config import DEFAULT_BOUNDS
 
@@ -336,4 +337,27 @@ def test_homs_json_escapes_element_names(tmp_path, capsys):
     code = main(["--json", "homs", str(grp), str(grp)])
     out = capsys.readouterr().out
     assert code == 0 and json.loads(out)["certificate"]["count"] == 3
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_renders_group_homs_as_image_lists():
+    # codomain names json must escape, homs nested in dicts and lists, and
+    # ints beside bools, which json writes as true/false
+    names = ["1", 'q"', "b\\", "c\x01", "é"]
+    z5 = group_from_table(names, [[(i + j) % 5 for j in range(5)] for i in range(5)])
+    homs = enumerate_group_homs(cyclic_group(5, "g"), z5)
+    plain_homs = [{"image": [names[x] for x in h.image]} for h in homs]
+    payload = {"homs": homs, "count": 5, "flags": [True, 0, False, 1], "one": {"h": homs[2]}}
+    plain = {**payload, "homs": plain_homs, "one": {"h": plain_homs[2]}}
+    assert _dumps(payload) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+def test_homs_json_4096_product_homs(tmp_path, capsys):
+    src = tmp_path / "z4cube.grp"
+    src.write_text("group product(cyclic(4) as a, cyclic(4) as b, cyclic(4) as c)\n")
+    dst = tmp_path / "z4sq.grp"
+    dst.write_text("group product(cyclic(4) as d, cyclic(4) as e)\n")
+    code = main(["--json", "homs", str(src), str(dst)])
+    out = capsys.readouterr().out
+    assert code == 0 and json.loads(out)["certificate"]["count"] == 4096
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"

@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product
 
@@ -15,7 +16,9 @@ from repgeo import (
     subgroup,
     trivial_group,
 )
-from repgeo.errors import InvalidInput
+from repgeo.config import EnumerationCaps
+from repgeo.errors import EnumerationCapExceeded, InvalidInput
+from repgeo.groups import _cayley_graph
 from repgeo.sampling import general_linear_group, symmetric_group_3
 
 from naive import naive_group_homs
@@ -229,6 +232,7 @@ def test_hom_enumeration_matches_naive_filter(gi, hi):
 
 
 _Z2 = cyclic_group(2, "a")
+_S3 = general_linear_group(2, 2)[0]
 _GROUPS = {
     "Z1": trivial_group(),
     "Z2": _Z2,
@@ -238,7 +242,8 @@ _GROUPS = {
     "Z6": cyclic_group(6, "f"),
     "Z4xZ2": product_group(cyclic_group(4, "d"), _Z2),
     "Z2^3": product_group(product_group(_Z2, cyclic_group(2, "b")), cyclic_group(2, "c")),
-    "S3": general_linear_group(2, 2)[0],
+    "S3": _S3,
+    "S3xZ2": product_group(_S3, cyclic_group(2, "z")),
     "GL(2,3)": general_linear_group(3, 2)[0],
 }
 _SMALL = ["Z1", "Z2", "Z3", "Z4", "V4", "Z6", "Z4xZ2", "Z2^3", "S3"]
@@ -251,6 +256,81 @@ _SMALL = ["Z1", "Z2", "Z3", "Z4", "V4", "Z6", "Z4xZ2", "Z2^3", "S3"]
 def test_hom_list_matches_full_table_enumerator(gname, hname):
     g, h = _GROUPS[gname], _GROUPS[hname]
     assert [x.image for x in enumerate_group_homs(g, h)] == naive_group_homs(g, h)
+
+
+def _relabelled(g, seed):
+    """g with its non-identity elements put in a random order, so its greedy
+    generators and subgroup chain change."""
+    new = [0] + random.Random(seed).sample(range(1, g.order), g.order - 1)  # old -> new
+    old = sorted(range(g.order), key=new.__getitem__)  # new -> old
+    table = [[new[g.table[a][b]] for b in old] for a in old]
+    return group_from_table([g.names[a] for a in old], table)
+
+
+def _chain_levels(g):
+    """(G_{j-1}, G_j) for each level of the chain the greedy generators span."""
+    gens, chain = _cayley_graph(g.table)[0], [{0}]
+    for j in range(1, len(gens) + 1):
+        members, queue = {0}, [0]
+        for e in queue:
+            for f in (g.table[e][s] for s in gens[:j]):
+                if f not in members:
+                    members.add(f)
+                    queue.append(f)
+        chain.append(members)
+    return list(zip(chain, chain[1:]))
+
+
+_SHUFFLED_PAIRS = [
+    (a, b) for a in ["S3", "S3xZ2", "Z4xZ2", "Z2^3"] for b in ["S3", "S3xZ2", "Z4xZ2", "Z2^3"]
+] + [("GL(2,3)", b) for b in ["Z1", "Z2", "V4", "S3"]]
+_SHUFFLE_SEEDS = range(3)
+
+
+@pytest.mark.parametrize("seed", _SHUFFLE_SEEDS)
+@pytest.mark.parametrize("gname,hname", _SHUFFLED_PAIRS)
+def test_hom_list_matches_naive_on_shuffled_tables(gname, hname, seed):
+    g = _relabelled(_GROUPS[gname], seed)
+    h = _relabelled(_GROUPS[hname], seed + 100)
+    assert [x.image for x in enumerate_group_homs(g, h)] == naive_group_homs(g, h)
+
+
+def test_shuffled_domains_reach_deep_and_non_normal_levels():
+    # abelian domains never exercise the relators of a non-normal level
+    depths, non_normal = set(), False
+    for gname in {a for a, _ in _SHUFFLED_PAIRS}:
+        for seed in _SHUFFLE_SEEDS:
+            g = _relabelled(_GROUPS[gname], seed)
+            levels = _chain_levels(g)
+            depths.add(len(levels))
+            non_normal |= any(
+                g.table[g.table[a][m]][g.inverses[a]] not in low
+                for low, high in levels
+                for a in high
+                for m in low
+            )
+    assert max(depths) >= 3 and non_normal
+
+
+def test_hom_candidate_cap_edge():
+    # Z2^3 has k = 3 greedy generators, so the search has |S3|^3 = 216
+    # candidates; the cap is checked against that count before any of them
+    g, h = _GROUPS["Z2^3"], _GROUPS["S3"]
+    needed = h.order**3
+    with pytest.raises(EnumerationCapExceeded) as exc:
+        enumerate_group_homs(g, h, EnumerationCaps(max_hom_candidates=needed - 1))
+    assert (exc.value.cap, exc.value.needed) == (needed - 1, needed)
+    at_cap = enumerate_group_homs(g, h, EnumerationCaps(max_hom_candidates=needed))
+    assert [x.image for x in at_cap] == [x.image for x in enumerate_group_homs(g, h)]
+    # a cap of 64^3 - 1 on 64^3 candidates raises before any candidate is tried
+    big = product_group(cyclic_group(8, "a"), cyclic_group(8, "b"))
+    with pytest.raises(EnumerationCapExceeded, match="hom search needs 262144 "):
+        enumerate_group_homs(g, big, EnumerationCaps(max_hom_candidates=64**3 - 1))
+    # the group order cap comes first, even when the candidate cap also fails
+    caps = EnumerationCaps(max_group_order=7, max_hom_candidates=needed - 1)
+    with pytest.raises(EnumerationCapExceeded, match="group order") as exc:
+        enumerate_group_homs(g, h, caps)
+    assert (exc.value.cap, exc.value.needed) == (7, 8)
 
 
 def test_subgroup_validation():
