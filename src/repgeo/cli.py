@@ -72,7 +72,8 @@ _escape = json.encoder.encode_basestring_ascii
 def _dumps(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
     payloads whose dict keys are strings, with each ``GroupHom`` written as
-    ``{"image": [...]}`` in its codomain's element names.
+    ``{"image": [...]}`` and each ``RepHom`` as ``{"group_image": [...],
+    "matrix": [[...]]}``, images in the codomain's element names.
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
     the walk stays in Python, but lists of strings are escaped and joined
@@ -95,6 +96,14 @@ def _write(obj, nl: str, out: list[str]) -> None:
         names = _escaped_names(obj.codomain.names)
         image = ("," + inner + "  ").join([names[x] for x in obj.image])
         out.append(f'{{{inner}"image": [{inner}  {image}{inner}]{nl}}}')
+    elif isinstance(obj, RepHom):
+        names, item = _escaped_names(obj.target.group.names), inner + "  "
+        image = ("," + item).join([names[x] for x in obj.grouphom.image])
+        rows = ("," + item).join(
+            f"[{item}  " + ("," + item + "  ").join(map(str, row)) + f"{item}]" for row in obj.matrix
+        )
+        out.append(f'{{{inner}"group_image": [{item}{image}{inner}],'
+                   f'{inner}"matrix": [{item}{rows}{inner}]{nl}}}')
     elif not isinstance(obj, (dict, list, tuple)):
         out.append(json.dumps(obj))
     elif not obj:
@@ -127,20 +136,13 @@ def _escaped_names(names: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def _jsonable(obj):
-    """``obj`` as JSON data for ``_dumps``; group homs stay as they are."""
-    if obj is None or isinstance(obj, (bool, int, str, GroupHom)):
+    """``obj`` as JSON data for ``_dumps``; group and rep homs stay as they are."""
+    if obj is None or isinstance(obj, (bool, int, str, GroupHom, RepHom)):
         return obj
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, RepHom):
-        return {
-            "matrix": [list(r) for r in obj.matrix],
-            "group_image": list(
-                map(obj.target.group.names.__getitem__, obj.grouphom.image)
-            ),
-        }
     if isinstance(obj, SeparationCertificate):
         return {
             "homs": [_jsonable(h) for h in obj.homs],
@@ -270,7 +272,7 @@ def _homs(args) -> tuple[dict, str]:
     else:
         parse, enumerate_homs = parse_group_file, enumerate_group_homs
     homs = enumerate_homs(parse(_read(args.a)), parse(_read(args.b)))
-    certificate = {"count": len(homs), "homs": list(map(_jsonable, homs))}
+    certificate = {"count": len(homs), "homs": homs}
     payload = {"inputs": [args.a, args.b], "outcome": "ok", "certificate": certificate}
     return payload, f"{len(homs)} homomorphisms"
 

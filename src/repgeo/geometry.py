@@ -5,9 +5,9 @@ The affine space of a representation and a context is the finite set of
 generator assignments, guarded by caps.  Solution sets, closures and
 quasi-identities are decided one y-point at a time by linear algebra over
 GF(p), since module terms are linear in the x-variables.  The bounded
-witness scans build each atom's satisfaction mask from the same per-y
-kernels, skip a context outright when both representations have the same
-closed sets over the pool, and re-check each hit through those deciders.
+witness scans build every atom's satisfaction mask for all points at once,
+skip a context outright when both representations have the same closed
+sets over the pool, and re-check each hit through those deciders.
 """
 
 from __future__ import annotations
@@ -289,67 +289,112 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 # ---------------------------------------------------------------------------
 # The bounded scan shared by both witness deciders.  Each atom of the pool
 # becomes one bit mask per representation over its assignment space, built
-# once per context; a premise set's solutions are the AND of its masks, and
-# a conclusion is implied where no solution falls outside its own mask.
-# The masks are laid out y-major: block j holds |V|^nx bits, one per flat
-# x-vector in x-major order, for the j-th y-point.  The scan only ANDs
-# masks and tests them for emptiness, so any layout shared by one
-# context's masks gives the same asymmetries.  A context in which both
-# representations have the same closed sets over the pool is skipped
-# without trying any premise set.  Callers re-check every hit through the
-# deciders above.
+# once per context for all points at once; a premise set's solutions are
+# the AND of its masks, and a conclusion is implied where no solution falls
+# outside its own mask.  The masks are laid out y-major: block j holds
+# |V|^nx bits, one per flat x-vector in x-major order, for the j-th
+# y-point.  The scan only ANDs masks and tests them for emptiness, so any
+# layout shared by one context's masks gives the same asymmetries.  A
+# context in which both representations have the same closed sets over the
+# pool is skipped without trying any premise set.  Callers re-check every
+# hit through the deciders above.
 
 
-def _kernel_bits(p: int, basis: Sequence[Sequence[int]], n: int) -> int:
-    """Bit i set for each vector of span(basis) that is the i-th of
-    GF(p)^n in lexicographic order."""
-    bits = 0
-    for v in span_elements(p, basis, n):
-        i = 0
-        for c in v:
-            i = i * p + c
-        bits |= 1 << i
-    return bits
+def _add_levels(acc: Sequence[int], t: Sequence[int], want: Sequence[int]) -> list[int]:
+    """The level sets of v + v' (mod p) at the residues in want, from the
+    level sets acc of v and t of v' (t[b] is the mask where v' = b); a
+    negative index wraps mod p."""
+    return [sum([acc[r - b] & t[b] for b in range(len(t))]) for r in want]
+
+
+def _word_indicators(
+    rep: Representation, points: Sequence[tuple[int, ...]], n: int, w: GroupWord, memo: dict
+) -> dict[int, int]:
+    """For each element g that w takes, the mask with bit j * |V|^nx set
+    for each y-point j at which w takes g."""
+    ind = memo.get(("word", w.letters))
+    if ind is None:
+        vals = [word_value(rep.group, y, w) for y in points]
+        hit, miss = "0" * (rep.p**n - 1) + "1", "0" * rep.p**n
+        ind = memo["word", w.letters] = {
+            g: int("".join(hit if v == g else miss for v in reversed(vals)), 2)
+            for g in set(vals)
+        }
+    return ind
+
+
+def _term_levels(
+    rep: Representation, points: Sequence[tuple[int, ...]], n: int, i: int, w: GroupWord,
+    c: int, memo: dict,
+) -> list[int]:
+    """The level sets of the term c * x_i * w, memoised for every nonzero
+    coefficient (see _atom_sat_mask)."""
+    p, dim = rep.p, rep.dim
+    ones, size = (1 << p**n) - 1, p**n * len(points)
+    levels = [0] * p
+    for g, ind in _word_indicators(rep, points, n, w, memo).items():
+        for d in range(dim):
+            col = tuple(row[d] for row in rep.act[g])
+            if ("block", i, col) not in memo:  # the level sets of x_i . col on a block
+                acc = [ones] + [0] * (p - 1)
+                for k, a in enumerate(col):
+                    if a:  # add a times x's digit i * dim + k
+                        run = p ** (n - 1 - i * dim - k)
+                        repunit, inv = ones // ((1 << p * run) - 1), pow(a, -1, p)
+                        digit = [((1 << run) - 1 << r * inv % p * run) * repunit for r in range(p)]
+                        acc = _add_levels(acc, digit, range(p))
+                memo["block", i, col] = acc
+            for r, b in enumerate(memo["block", i, col]):
+                levels[r] += b * ind << d * size
+    for c2 in range(1, p):
+        inv = pow(c2, -1, p)
+        memo[i, w.letters, c2] = [levels[r * inv % p] for r in range(p)]
+    return memo[i, w.letters, c]
 
 
 def _atom_sat_mask(
     rep: Representation, points: Sequence[tuple[int, ...]], a: Atom, memo: dict
 ) -> int:
     """The y-major mask of the assignments at the given y-points where a
-    holds.  At y a module atom u holds on ker M_u(y) and a group atom on
-    every x or none.
+    holds, built for all points at once from level sets: the masks where a
+    linear form takes each residue mod p.
+
+    A group atom holds on the whole block of each y-point at which its
+    word is the identity.  A module atom u = sum_t c_t * x_(i_t) * w_t
+    holds where every coordinate d of sum_t c_t * x_(i_t) . act[w_t(y)] is
+    0.  Flat coordinate m of x has weight p^(n-1-m) in the x-major index,
+    so its level set at v is a run of p^(n-1-m) ones repeating with period
+    p^(n-m): the run times a repunit.  Summing x_i's digits gives the block
+    level sets of x_i . col.  A term's level set at r and coordinate d is
+    the sum over g of the block level set for col_d(act[g]) times w_t's
+    indicator of g; a block level set is below 2^block and the indicators
+    are disjoint, so the products and the sum carry nothing.  The dim
+    coordinates sit side by side in one int, a mask length apart.
+    _add_levels sums the terms, and the mask is the AND of the coordinates
+    of u's level set at 0.  Each step is an exact identity of point sets,
+    so the bits equal those of a point-by-point evaluation.
 
     memo serves one representation in one scan context, with the same
-    y-points on every call.  It holds each word's values at the points,
-    keyed by the word, and each kernel's block, keyed both by u's triples
-    at y and by the flattened columns, so that distinct triples with equal
-    columns share one nullspace."""
+    y-points on every call; its keys hold word letters, which hash faster
+    than words."""
     n = len(a.context.xvars) * rep.dim
-    block = rep.p**n
-
-    def values(w: GroupWord) -> list[int]:
-        vals = memo.get(w)
-        if vals is None:
-            vals = memo[w] = [word_value(rep.group, y, w) for y in points]
-        return vals
-
+    size = rep.p**n * len(points)
     if isinstance(a, GroupAtom):
-        ones = (1 << block) - 1
-        return sum(ones << (j * block) for j, g in enumerate(values(a.word)) if not g)
-    terms = [(i, c, values(w)) for i, r in a.element.parts for w, c in r.terms]
-    m = 0
-    for j in range(len(points)):
-        triples = tuple((i, c, vals[j]) for i, c, vals in terms)
-        bits = memo.get(triples)
-        if bits is None:
-            cols = _columns(rep, triples, n)
-            flat = tuple(x for col in cols for x in col)
-            bits = memo.get(flat)
-            if bits is None:
-                bits = memo[flat] = _kernel_bits(rep.p, nullspace(rep.p, cols, n), n)
-            memo[triples] = bits
-        m |= bits << (j * block)
-    return m
+        return ((1 << rep.p**n) - 1) * _word_indicators(rep, points, n, a.word, memo).get(0, 0)
+    mask = (1 << size) - 1
+    terms = [
+        memo.get((i, w.letters, c)) or _term_levels(rep, points, n, i, w, c, memo)
+        for i, r in a.element.parts
+        for w, c in r.terms
+    ]
+    if terms:
+        acc = terms[0]
+        for t in terms[1:-1]:
+            acc = _add_levels(acc, t, range(rep.p))
+        zero = _add_levels(acc, terms[-1], (0,))[0] if len(terms) > 1 else acc[0]
+        for d in range(rep.dim):
+            mask &= zero >> d * size
+    return mask
 
 
 def _closed_signatures(

@@ -251,6 +251,27 @@ def atom_tree_to_canonical(ctx: FreeContext, field, atom):
     return GroupAtom(word_tree_to_canonical(ctx, atom[1]))
 
 
+def canonical_to_atom_tree(ctx: FreeContext, atom):
+    """The raw tree of a canonical atom, read off its letters and terms
+    one by one, with no arithmetic: the oracle evaluates it from scratch."""
+
+    def word(w):
+        t = ("id",)
+        for v, e in w.letters:
+            g = ("gen", ctx.yvars[v])
+            for _ in range(abs(e)):
+                t = ("mul", t, g if e > 0 else ("inv", g))
+        return t
+
+    if isinstance(atom, GroupAtom):
+        return ("weq1", word(atom.word))
+    t = ("zero",)
+    for i, r in atom.element.parts:
+        for w, c in r.terms:
+            t = ("add", t, ("scale", c, ("act", ("xgen", ctx.xvars[i]), word(w))))
+    return ("meq0", t)
+
+
 def trees_to_qid(ctx: FreeContext, field, premises, conclusion) -> QuasiIdentity:
     return QuasiIdentity(
         tuple(atom_tree_to_canonical(ctx, field, a) for a in premises),

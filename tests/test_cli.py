@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repgeo import cyclic_group, enumerate_group_homs, group_from_table
+from repgeo import (
+    PrimeField,
+    cyclic_group,
+    enumerate_group_homs,
+    enumerate_rep_homs,
+    group_from_table,
+    make_representation,
+)
 from repgeo.cli import _dumps, main
 from repgeo.config import DEFAULT_BOUNDS
 
@@ -349,6 +356,24 @@ def test_writer_renders_group_homs_as_image_lists():
     plain_homs = [{"image": [names[x] for x in h.image]} for h in homs]
     payload = {"homs": homs, "count": 5, "flags": [True, 0, False, 1], "one": {"h": homs[2]}}
     plain = {**payload, "homs": plain_homs, "one": {"h": plain_homs[2]}}
+    assert _dumps(payload) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+def test_writer_renders_rep_homs_as_image_and_matrix():
+    # rep homs beside group homs, into a codomain whose names json must escape
+    names = ["1", 'q"', "é"]
+    z3 = group_from_table(names, [[(i + j) % 3 for j in range(3)] for i in range(3)])
+    gf3 = PrimeField(3)
+    src = make_representation(gf3, 1, cyclic_group(3, "g"), {g: [[1]] for g in range(3)})
+    dst = make_representation(gf3, 2, z3, {g: [[1, 0], [0, 1]] for g in range(3)})
+    homs = enumerate_rep_homs(src, dst)
+    plain_homs = [
+        {"group_image": [names[x] for x in h.grouphom.image], "matrix": [list(r) for r in h.matrix]}
+        for h in homs
+    ]
+    assert len(homs) == 27 and homs[-1].matrix == ((2, 2),)
+    payload = {"homs": homs, "one": {"h": homs[4]}, "group": [homs[0].grouphom]}
+    plain = {"homs": plain_homs, "one": {"h": plain_homs[4]}, "group": [{"image": ["1"] * 3}]}
     assert _dumps(payload) == json.dumps(plain, sort_keys=True, indent=2)
 
 

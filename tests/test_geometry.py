@@ -46,6 +46,7 @@ from repgeo import (
     xgen,
     ygen,
 )
+from repgeo import geometry
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
 from repgeo.errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
@@ -57,6 +58,7 @@ from repgeo.textio import infer_context, parse_qid
 
 from naive import (
     atom_tree_to_canonical,
+    canonical_to_atom_tree,
     naive_atom_mask,
     naive_bounded_atoms,
     naive_closed_sets,
@@ -520,9 +522,18 @@ def test_deciders_match_brute_force_oracle():
         assert {(flag, True), (flag, False)} <= seen
 
 
+def _y_major(mask, block, npoints):
+    """An x-major oracle mask in the scan's y-major layout: the oracle's bit
+    i * |G|^ny + j is the scan's bit j * |V|^nx + i."""
+    out = 0
+    for i in range(block):
+        for j in range(npoints):
+            if mask >> (i * npoints + j) & 1:
+                out |= 1 << (j * block + i)
+    return out
+
+
 def test_atom_masks_match_brute_force_oracle():
-    # the scan's masks are y-major, the oracle's x-major: the oracle's bit
-    # i * |G|^ny + j is the scan's bit j * |V|^nx + i
     rng = random.Random(67)
     limit = 2000
     seen = set()
@@ -541,17 +552,12 @@ def test_atom_masks_match_brute_force_oracle():
         only_x0 = sum(1 << j * block for j in range(npoints))
         trees = [("weq1", ("id",)), ("meq0", ("zero",)), ("meq0", ("xgen", "x1"))]
         trees += [random_atom_tree(rng, xnames, ynames, p) for _ in range(5)]
-        kernel_bits = {}
+        memo = {}
         for tree in trees:
             atom = atom_tree_to_canonical(ctx, rep.field, tree)
             expect = naive_atom_mask(rep, xnames, ynames, tree)
-            mapped = 0
-            for i in range(block):
-                for j in range(npoints):
-                    if expect >> (i * npoints + j) & 1:
-                        mapped |= 1 << (j * block + i)
-            got = _atom_sat_mask(rep, points, atom, kernel_bits)
-            assert got == mapped
+            got = _atom_sat_mask(rep, points, atom, memo)
+            assert got == _y_major(expect, block, npoints)
             seen |= {("dim", dim), ("p", p), ("nx", nx), ("ny", ny)}
             seen.add(("group atom", isinstance(atom, GroupAtom)))
             seen.add(("identity word", isinstance(atom, GroupAtom) and atom.word.is_identity()))
@@ -561,6 +567,54 @@ def test_atom_masks_match_brute_force_oracle():
     assert seen >= {("nx", 1), ("nx", 2), ("ny", 1), ("ny", 2)}
     for flag in ("group atom", "identity word", "everywhere", "only x = 0"):
         assert {(flag, True), (flag, False)} <= seen
+
+
+def test_atom_masks_match_oracle_on_scan_pools():
+    # every atom of scan pools with up to 3 terms, one memo per context as
+    # in the scan; at nx = 3 the middle x-variable's digits lie between
+    # higher and lower ones
+    rng = random.Random(71)
+    seen = set()
+    cases = [  # p, dim, nx, ny, max_word_len, max group order, pool
+        (5, 2, 1, 1, 1, 4, "at"),
+        (3, 3, 1, 1, 1, 3, "qid"),
+        (2, 2, 3, 1, 1, 4, "at"),
+        (3, 2, 3, 1, 0, 2, "qid"),
+        (3, 1, 2, 2, 1, 3, "qid"),
+    ]
+    for p, dim, nx, ny, word_len, max_order, kind in cases:
+        rep = _cyclic_power_rep(rng, dim, p, max_order)
+        ctx = scan_context(nx, ny)
+        bounds = SearchBounds(max_terms=3, max_word_len=word_len)
+        if kind == "qid":
+            atoms = bounded_atoms(ctx, rep.field, bounds)
+        else:
+            atoms = [ModuleAtom(u) for u in bounded_module_elements(ctx, rep.field, bounds)]
+        points = list(product(range(rep.group.order), repeat=ny))
+        block = p ** (dim * nx)
+        memo = {}
+        for atom in atoms:
+            expect = naive_atom_mask(rep, ctx.xvars, ctx.yvars, canonical_to_atom_tree(ctx, atom))
+            assert _atom_sat_mask(rep, points, atom, memo) == _y_major(expect, block, len(points))
+            if isinstance(atom, ModuleAtom):
+                seen.add(("terms", atom.element.num_terms()))
+                seen.add(("terms on one x", max(r.num_terms() for _, r in atom.element.parts)))
+        seen |= {("order", rep.group.order > 1), kind}
+    assert seen >= {("terms", 3), ("terms on one x", 2), ("terms on one x", 3)}
+    assert seen >= {("order", True), "at", "qid"}
+
+
+def test_scan_masks_enumerate_no_kernel(monkeypatch):
+    # the trivial group on GF(2)^6 at 3 x-variables has 2^18 points per
+    # y-point: the masks come from level sets, with no nullspace and no
+    # enumeration of a kernel
+    def refuse(*args):
+        raise AssertionError("kernel enumeration on the scan path")
+
+    monkeypatch.setattr(geometry, "nullspace", refuse)
+    monkeypatch.setattr(geometry, "span_elements", refuse)
+    r = make_representation(PrimeField(2), 6, trivial_group(), {})
+    assert find_at_witness(r, r, SearchBounds(max_xvars=3)) is None
 
 
 def test_formula_over_another_field_rejected(r1, gf2):
