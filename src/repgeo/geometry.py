@@ -6,15 +6,15 @@ generator assignments, guarded by caps.  Solution sets, closures and
 quasi-identities are decided one y-point at a time by linear algebra over
 GF(p), since module terms are linear in the x-variables.  The bounded
 witness scans build every atom's satisfaction mask for all points at once,
-skip a context outright when both representations have the same closed
-sets over the pool, and re-check each hit through those deciders.
+read each representation's closure operator off its distinct point
+signatures, skip a context outright when both have the same closed sets,
+and re-check each hit through those deciders.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, groupby, product
-from math import comb
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
@@ -289,15 +289,15 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 # ---------------------------------------------------------------------------
 # The bounded scan shared by both witness deciders.  Each atom of the pool
 # becomes one bit mask per representation over its assignment space, built
-# once per context for all points at once; a premise set's solutions are
-# the AND of its masks, and a conclusion is implied where no solution falls
-# outside its own mask.  The masks are laid out y-major: block j holds
-# |V|^nx bits, one per flat x-vector in x-major order, for the j-th
-# y-point.  The scan only ANDs masks and tests them for emptiness, so any
-# layout shared by one context's masks gives the same asymmetries.  A
-# context in which both representations have the same closed sets over the
-# pool is skipped without trying any premise set.  Callers re-check every
-# hit through the deciders above.
+# once per context for all points at once and laid out y-major: block j
+# holds |V|^nx bits, one per flat x-vector in x-major order, for the j-th
+# y-point.  Atoms whose masks are equal on both sides share a column, and a
+# point's signature is the set of columns that hold there.  The scan reads
+# only each side's distinct signatures (the reduced context of formal
+# concept analysis), so any layout gives the same asymmetries: cl_r(P), the
+# columns true at every point of r satisfying the premises P, is the AND of
+# the r-signatures containing P.  Callers re-check every hit through the
+# deciders above.
 
 
 def _add_levels(acc: Sequence[int], t: Sequence[int], want: Sequence[int]) -> list[int]:
@@ -397,32 +397,41 @@ def _atom_sat_mask(
     return mask
 
 
-def _closed_signatures(
-    masks_r: Sequence[int], full_r: int, masks_s: Sequence[int], full_s: int, limit: int
-) -> bool:
-    """Whether every point signature of r is closed under s's closure over
-    the pool; False also once r's points fall into more than limit
-    signature classes.
-
-    A point's signature is the set of atoms that hold at it.  Splitting
-    r's points on each atom's mask yields the classes of equal signature;
-    each class carries the s-points that satisfy every atom of its
-    signature, and the signature is s-closed when every other atom fails
-    at one of them."""
-    classes = [(full_r, 0, full_s)]  # (r-points, signature as atom bits, s-points)
-    for i, (m_r, m_s) in enumerate(zip(masks_r, masks_s)):
+def _signatures(masks: Sequence[int], full: int) -> list[int]:
+    """The distinct point signatures as column bitsets: bit c of a point's
+    signature is set when masks[c] holds there.  Splitting the points in
+    full on each mask in turn leaves one class per signature."""
+    classes = [(full, 0)]  # (points, signature so far)
+    for c, m in enumerate(masks):
         split = []
-        for pts, sig, sol in classes:
-            inside = pts & m_r
+        for pts, sig in classes:
+            inside = pts & m
             if inside:
-                split.append((inside, sig | 1 << i, sol & m_s))
+                split.append((inside, sig | 1 << c))
             if inside != pts:
-                split.append((pts ^ inside, sig, sol))
-        if len(split) > limit:
-            return False
+                split.append((pts ^ inside, sig))
         classes = split
-    return all(
-        sig >> c & 1 or sol & m != sol for _, sig, sol in classes for c, m in enumerate(masks_s)
+    return [sig for _, sig in classes]
+
+
+def _closure(sigs: Sequence[int], prem: int, top: int) -> int:
+    """The columns true at every point that satisfies prem: the AND of the
+    signatures containing prem, or top when none does."""
+    for sig in sigs:
+        if sig & prem == prem:
+            top &= sig
+    return top
+
+
+def _same_closed_sets(sigs_r: Sequence[int], sigs_s: Sequence[int], top: int) -> bool:
+    """Whether r and s have the same closed sets over the columns top.  The
+    cl_r-closed sets are the intersections of r's signatures (the empty one
+    being top), and they determine cl_r.  If every signature of r is
+    s-closed, so is every r-closed set; with the converse the families and
+    the closure operators are equal.  If the families are equal, every
+    signature of r, being r-closed, is s-closed: the answer is exact."""
+    return all(_closure(sigs_s, sig, top) == sig for sig in sigs_r) and all(
+        _closure(sigs_r, sig, top) == sig for sig in sigs_s
     )
 
 
@@ -439,19 +448,10 @@ def _scan_asymmetries(
     y-count, premise sets () then combinations of the pool by size, and
     conclusions in pool order.
 
-    A context is skipped when both representations have the same family
-    of closed sets over the pool.  On r, P => c holds exactly when c is in
-    cl_r(P), the set of atoms true at every point satisfying P; the
-    cl_r-closed sets are the intersections of point signatures (the empty
-    one being the whole pool), and they determine cl_r.  If every
-    signature of r is s-closed, every r-closed set, as an intersection of
-    s-closed sets, is s-closed; with the converse the families and so the
-    closure operators are equal, and no premise set of any size separates
-    r from s.  If the families are equal, every signature of r, being
-    r-closed, is s-closed, so the skip is taken exactly when it is sound.
-    The classes are refined only while they number at most the premise
-    sets the loop would try, so the check never costs more than the loop
-    by more than a constant factor."""
+    On r, P => c holds exactly when c's column is in cl_r(P), so P's
+    asymmetries are the atoms whose column is in cl_r(P) ^ cl_s(P).  A
+    context in which r and s have the same closed sets is skipped, since no
+    premise set of any size separates them."""
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
     for nx in range(1, bounds.max_xvars + 1):
@@ -466,26 +466,25 @@ def _scan_asymmetries(
             full_s = (1 << s.p ** (nx * s.dim) * len(points_s)) - 1
             memo_r: dict = {}
             memo_s: dict = {}
-            masks_r = [_atom_sat_mask(r, points_r, a, memo_r) for a in atoms]
-            masks_s = [_atom_sat_mask(s, points_s, a, memo_s) for a in atoms]
-            limit = sum(comb(len(atoms), k) for k in range(max_premises + 1))
-            if _closed_signatures(masks_r, full_r, masks_s, full_s, limit) and (
-                _closed_signatures(masks_s, full_s, masks_r, full_r, limit)
-            ):
+            cols: dict[tuple[int, int], int] = {}  # (mask on r, mask on s) -> column
+            bits = []  # per atom, its column's bit
+            for a in atoms:
+                pair = _atom_sat_mask(r, points_r, a, memo_r), _atom_sat_mask(s, points_s, a, memo_s)
+                bits.append(1 << cols.setdefault(pair, len(cols)))
+            sigs_r = _signatures([m for m, _ in cols], full_r)
+            sigs_s = _signatures([m for _, m in cols], full_s)
+            top = (1 << len(cols)) - 1
+            if _same_closed_sets(sigs_r, sigs_s, top):
                 continue
-            # per atom, the assignments on which it fails
-            fails = list(zip([full_r & ~m for m in masks_r], [full_s & ~m for m in masks_s]))
             for k in range(max_premises + 1):
                 for prems in combinations(range(len(atoms)), k):
-                    sol_r, sol_s = full_r, full_s
-                    for i in prems:
-                        sol_r &= masks_r[i]
-                        sol_s &= masks_s[i]
-                    for c, (fail_r, fail_s) in enumerate(fails):
-                        in_r = not sol_r & fail_r
-                        in_s = not sol_s & fail_s
-                        if in_r != in_s:
-                            yield ctx, tuple(atoms[i] for i in prems), atoms[c], in_r, in_s
+                    prem = sum({bits[i] for i in prems})  # the OR of distinct powers of 2
+                    cl_r, cl_s = _closure(sigs_r, prem, top), _closure(sigs_s, prem, top)
+                    if diff := cl_r ^ cl_s:
+                        premises = tuple(atoms[i] for i in prems)
+                        for c, b in enumerate(bits):
+                            if diff & b:
+                                yield ctx, premises, atoms[c], bool(cl_r & b), bool(cl_s & b)
 
 
 # ---------------------------------------------------------------------------

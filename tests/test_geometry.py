@@ -50,7 +50,13 @@ from repgeo import geometry
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
 from repgeo.errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
-from repgeo.geometry import _atom_sat_mask, _closed_signatures, _scan_asymmetries, scan_context
+from repgeo.geometry import (
+    _atom_sat_mask,
+    _same_closed_sets,
+    _scan_asymmetries,
+    _signatures,
+    scan_context,
+)
 from repgeo.linalg import is_invertible, mat_identity, mat_mul
 from repgeo.reps import Representation
 from repgeo.sampling import random_qid, random_representation
@@ -737,13 +743,36 @@ def test_scans_left_out_of_the_benchmark_finish():
     assert done.stdout.split() == ["None"] * 4
 
 
+def test_large_pool_self_scan_finishes():
+    # a Z6 acting on GF(5)^2 against itself at 2x2: every context is
+    # skipped, over pools of thousands of atoms and 22,500 points per mask.
+    # A skip check that refined point classes atom by atom once took about
+    # 13 s on this case; merging equal masks into columns takes about 1 s
+    r = _cyclic_power_rep(random.Random(3), 2, 5, 8)
+    assert (r.p, r.dim, r.group.order) == (5, 2, 6)
+    script = (
+        "from repgeo import PrimeField, SearchBounds, cyclic_group, find_at_witness\n"
+        "from repgeo import make_representation\n"
+        f"r = make_representation(PrimeField(5), 2, cyclic_group(6), dict(enumerate({r.act})))\n"
+        "print(find_at_witness(r, r, SearchBounds(max_xvars=2, max_yvars=2)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=6
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["None"]
+
+
 def test_scan_matches_naive_premise_loop():
     # the scan's full output against every premise set tried on the same
-    # masks.  Contexts whose closed-set families are equal must be skipped
-    # unless a signature count exceeds the loop's premise sets; the others
-    # run the premise loop.  Families that nest one-sidedly, and asymmetries
-    # that need a premise, must occur: a skip test that checks one
-    # direction, or only the closure of no premises, misses those.
+    # masks.  Atoms with equal masks on both sides share a column; each
+    # side's signatures over the columns must be the distinct ones, and
+    # contexts whose closed-set families are equal must be skipped while
+    # the others run the premise loop.  Families that nest one-sidedly,
+    # and asymmetries that need a premise, must occur: a skip test that
+    # checks one direction, or only the closure of no premises, misses
+    # those.
     rng = random.Random(71)
     seen = set()
     for _ in range(150):
@@ -784,8 +813,9 @@ def test_scan_matches_naive_premise_loop():
                     npoints = rep.p ** (cx * rep.dim) * len(points)
                     memo = {}
                     masks = [_atom_sat_mask(rep, points, a, memo) for a in atoms]
-                    side.append((masks, (1 << npoints) - 1, naive_signatures(masks, npoints)))
-                (masks_r, full_r, sigs_r), (masks_s, full_s, sigs_s) = side
+                    side.append((masks, npoints, naive_signatures(masks, npoints)))
+                (masks_r, npoints_r, sigs_r), (masks_s, npoints_s, sigs_s) = side
+                full_r, full_s = (1 << npoints_r) - 1, (1 << npoints_s) - 1
                 found = naive_scan_asymmetries(masks_r, full_r, masks_s, full_s, max_premises)
                 expect += [
                     (ctx, tuple(atoms[i] for i in prems), atoms[c], in_r, in_s)
@@ -793,18 +823,31 @@ def test_scan_matches_naive_premise_loop():
                 ]
                 family_r = naive_closed_sets(sigs_r, len(atoms))
                 family_s = naive_closed_sets(sigs_s, len(atoms))
-                budget = sum(comb(len(atoms), k) for k in range(max_premises + 1))
-                over = max(len(sigs_r), len(sigs_s)) > budget
-                skipped = _closed_signatures(masks_r, full_r, masks_s, full_s, budget) and (
-                    _closed_signatures(masks_s, full_s, masks_r, full_r, budget)
-                )
-                assert skipped == (family_r == family_s and not over)
-                seen |= {("skipped", skipped), ("over budget", over), ("asymmetry", bool(found))}
+                cols = list(dict.fromkeys(zip(masks_r, masks_s)))
+                col_sigs = []
+                for j, npoints in enumerate((npoints_r, npoints_s)):
+                    col_masks = [pair[j] for pair in cols]
+                    sigs = _signatures(col_masks, (1 << npoints) - 1)
+                    assert len(sigs) == len(set(sigs))
+                    assert set(sigs) == {
+                        sum(1 << c for c in sig) for sig in naive_signatures(col_masks, npoints)
+                    }
+                    col_sigs.append(sigs)
+                skipped = _same_closed_sets(*col_sigs, (1 << len(cols)) - 1)
+                assert skipped == (family_r == family_s)
+                duplicates = len(cols) < len(atoms)
+                seen |= {("skipped", skipped), ("asymmetry", bool(found))}
+                seen.add(("duplicate masks", duplicates))
+                seen.add(("duplicates, families differ", duplicates and family_r != family_s))
                 seen.add(("one-sided", bool(found) and (family_r < family_s or family_s < family_r)))
                 seen.add(("needs a premise", bool(found) and all(prems for prems, *_ in found)))
                 seen |= {("dim", dim_r), ("dim", dim_s), ("p", p), ("nx", cx), ("ny", cy), kind}
         assert got == expect
     assert seen >= {("dim", 1), ("dim", 2), ("dim", 3), ("p", 2), ("p", 3), ("p", 5)}
     assert seen >= {("nx", 1), ("nx", 2), ("ny", 1), ("ny", 2), "at", "qid"}
-    for flag in ("skipped", "over budget", "asymmetry", "one-sided", "needs a premise"):
+    flags = (
+        "skipped", "duplicate masks", "duplicates, families differ", "asymmetry", "one-sided",
+        "needs a premise",
+    )
+    for flag in flags:
         assert {(flag, True), (flag, False)} <= seen
