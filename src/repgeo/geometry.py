@@ -13,8 +13,9 @@ and re-check each hit through those deciders.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
@@ -33,7 +34,6 @@ from .freemod import (
     atom_key,
     equation_system,
     identity_word,
-    module_key,
     module_term,
     reduce_word,
     ring_from_terms,
@@ -256,31 +256,38 @@ def bounded_words(ctx: FreeContext, max_len: int) -> list[GroupWord]:
     return sorted(seen, key=word_key)
 
 
+def _ascending(groups: Sequence[Sequence[tuple[int, object]]], n: int) -> list[list[tuple]]:
+    """Entry k, for k <= n, lists every tuple of items of total weight k
+    (weights are positive) that takes at most one (weight, item) pair from
+    each group, in group order, lexicographically: a pick compares by its
+    group's place, then by its pair's place in the group."""
+    out: list[list[tuple]] = [[()]] + [[] for _ in range(n)]
+    for group in reversed(groups):
+        out = [
+            [(item, *rest) for m, item in group if m <= k for rest in out[k - m]] + out[k]
+            for k in range(n + 1)
+        ]
+    return out
+
+
 def bounded_module_elements(
     ctx: FreeContext, field, bounds: SearchBounds
 ) -> list[ModuleElement]:
-    """Nonzero module elements with at most bounds.max_terms terms total,
-    words bounded by bounds.max_word_len, sorted canonically."""
+    """Nonzero module elements with at most bounds.max_terms terms total and
+    words bounded by bounds.max_word_len, generated in module_key order: by
+    term count, then part by part by x index, the part's term count and its
+    (word, coeff) terms, words compared by their place in bounded_words."""
+    n = bounds.max_terms
     words = bounded_words(ctx, bounds.max_word_len)
-    # (x, word) slots in canonical order, so a combination of slots lists
-    # each x's terms in the order of a canonical ring element
-    slots = [(x, w) for x in range(len(ctx.xvars)) for w in words]
-    out = []
-    for k in range(1, bounds.max_terms + 1):
-        for picked in combinations(slots, k):
-            for coeffs in product(range(1, field.p), repeat=k):
-                terms = zip(picked, coeffs)
-                parts = tuple(
-                    (x, RingElement(ctx, field, tuple((w, c) for (_, w), c in group)))
-                    for x, group in groupby(terms, key=lambda t: t[0][0])
-                )
-                out.append(ModuleElement(ctx, field, parts))
-    return sorted(out, key=module_key)
+    terms = _ascending([[(1, (w, c)) for c in range(1, field.p)] for w in words], n)
+    rings = [(m, RingElement(ctx, field, t)) for m in range(1, n + 1) for t in terms[m]]
+    parts = _ascending([[(m, (x, ring)) for m, ring in rings] for x in range(len(ctx.xvars))], n)
+    return [ModuleElement(ctx, field, ps) for k in range(1, n + 1) for ps in parts[k]]
 
 
 def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
-    # already in atom_key order: group atoms in shortlex order, then module
-    # atoms in module_key order
+    # in atom_key order as generated: group atoms in shortlex order, then
+    # module atoms in module_key order
     atoms: list[Atom] = [GroupAtom(w) for w in bounded_words(ctx, bounds.max_word_len)]
     atoms.extend(ModuleAtom(u) for u in bounded_module_elements(ctx, field, bounds))
     return atoms
@@ -471,11 +478,15 @@ def _scan_asymmetries(
             for a in atoms:
                 pair = _atom_sat_mask(r, points_r, a, memo_r), _atom_sat_mask(s, points_s, a, memo_s)
                 bits.append(1 << cols.setdefault(pair, len(cols)))
-            sigs_r = _signatures([m for m, _ in cols], full_r)
-            sigs_s = _signatures([m for _, m in cols], full_s)
             top = (1 << len(cols)) - 1
-            if _same_closed_sets(sigs_r, sigs_s, top):
-                continue
+            if max_premises:
+                sigs_r = _signatures([m for m, _ in cols], full_r)
+                sigs_s = _signatures([m for _, m in cols], full_s)
+                if _same_closed_sets(sigs_r, sigs_s, top):
+                    continue
+            else:  # only cl(()) is read, and one signature, the full columns, gives it
+                sigs_r = [sum(1 << c for c, (m, _) in enumerate(cols) if m == full_r)]
+                sigs_s = [sum(1 << c for c, (_, m) in enumerate(cols) if m == full_s)]
             for k in range(max_premises + 1):
                 for prems in combinations(range(len(atoms)), k):
                     prem = sum({bits[i] for i in prems})  # the OR of distinct powers of 2
@@ -773,8 +784,12 @@ def find_separating_qid(
 
     def pool(ctx: FreeContext) -> list[Atom]:
         wq = paper_witness_qid(ctx, r.field)
-        atoms = set(bounded_atoms(ctx, r.field, bounds)) | set(wq.premises) | {wq.conclusion}
-        return sorted(atoms, key=atom_key)
+        atoms = bounded_atoms(ctx, r.field, bounds)
+        for a in (*wq.premises, wq.conclusion):
+            i = bisect_left(atoms, atom_key(a), key=atom_key)
+            if atoms[i : i + 1] != [a]:
+                atoms.insert(i, a)
+        return atoms
 
     for _, prems, concl, _, _ in _scan_asymmetries(r, s, bounds, caps, bounds.max_premises, pool):
         q = QuasiIdentity(prems, concl)

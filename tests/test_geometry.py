@@ -50,6 +50,7 @@ from repgeo import geometry
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
 from repgeo.errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
+from repgeo.freemod import atom_key, module_key
 from repgeo.geometry import (
     _atom_sat_mask,
     _same_closed_sets,
@@ -290,6 +291,78 @@ def test_pools_match_module_add_construction():
         elements = [a.element for a in atoms if isinstance(a, ModuleAtom)]
         assert len(elements) == size
         assert bounded_module_elements(ctx, field, bounds) == elements
+
+
+def test_pools_in_canonical_order_past_the_oracle():
+    # every pool up to 10,000 elements, past the oracle's 1,000 above:
+    # strictly increasing under module_key, of the size the slots give, and
+    # after the group atoms in bounded_atoms.  The three larger pools
+    # (45,764 to 392,088 elements at 3 terms of words up to length 2) are
+    # left out, since module_key costs about 40 us per element
+    for p, nx, ny, max_terms, max_word_len in product(
+        (2, 3, 5), (1, 2), (1, 2), range(4), range(3)
+    ):
+        ctx, field = scan_context(nx, ny), PrimeField(p)
+        words = bounded_words(ctx, max_word_len)
+        slots = nx * len(words)
+        size = sum(comb(slots, k) * (p - 1) ** k for k in range(1, max_terms + 1))
+        if size > 10_000:
+            continue
+        bounds = SearchBounds(max_terms=max_terms, max_word_len=max_word_len)
+        elements = bounded_module_elements(ctx, field, bounds)
+        assert len(elements) == size
+        keys = [module_key(u) for u in elements]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        atoms = bounded_atoms(ctx, field, bounds)
+        assert atoms == [GroupAtom(w) for w in words] + [ModuleAtom(u) for u in elements]
+
+
+def test_large_pool_builds_quickly():
+    # p = 3 at 2x2 with 3 terms of words up to length 2: 50,184 elements.
+    # Sorting them by module_key once took about 2.8 s; generating them in
+    # that order takes about 0.1 s
+    script = (
+        "from repgeo import PrimeField, SearchBounds, bounded_module_elements\n"
+        "from repgeo.geometry import scan_context\n"
+        "b = SearchBounds(max_terms=3, max_word_len=2)\n"
+        "print(len(bounded_module_elements(scan_context(2, 2), PrimeField(3), b)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=2
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["50184"]
+
+
+def test_qid_pool_adds_the_paper_atoms_in_order(monkeypatch):
+    # the pool find_separating_qid hands the scan is the bounded atoms with
+    # the paper's premise and conclusion added, in atom_key order; small
+    # bounds leave one or both out of bounded_atoms
+    pools = []
+
+    def spy(r, s, bounds, caps, max_premises, atom_pool):
+        pools.append(atom_pool)
+        return iter(())
+
+    monkeypatch.setattr(geometry, "_scan_asymmetries", spy)
+    seen = set()
+    for p, nx, ny, max_terms, max_word_len in product(
+        (2, 3, 5), (1, 2), (1, 2), range(3), range(3)
+    ):
+        ctx, field = scan_context(nx, ny), PrimeField(p)
+        slots = nx * len(bounded_words(ctx, max_word_len))
+        if sum(comb(slots, k) * (p - 1) ** k for k in range(1, max_terms + 1)) > 1000:
+            continue
+        bounds = SearchBounds(max_terms=max_terms, max_word_len=max_word_len)
+        line = _trivial_line(p)
+        assert find_separating_qid(line, line, bounds) is None
+        wq = paper_witness_qid(ctx, field)
+        paper = {*wq.premises, wq.conclusion}
+        naive = naive_bounded_atoms(ctx, field, bounds)
+        assert pools.pop()(ctx) == sorted(set(naive) | paper, key=atom_key)
+        seen.add(len(paper - set(naive)))
+    assert seen == {0, 1, 2}
 
 
 # -- separation certificates -------------------------------------------------
