@@ -478,15 +478,11 @@ def _scan_asymmetries(
             for a in atoms:
                 pair = _atom_sat_mask(r, points_r, a, memo_r), _atom_sat_mask(s, points_s, a, memo_s)
                 bits.append(1 << cols.setdefault(pair, len(cols)))
+            sigs_r = _signatures([m for m, _ in cols], full_r)
+            sigs_s = _signatures([m for _, m in cols], full_s)
             top = (1 << len(cols)) - 1
-            if max_premises:
-                sigs_r = _signatures([m for m, _ in cols], full_r)
-                sigs_s = _signatures([m for _, m in cols], full_s)
-                if _same_closed_sets(sigs_r, sigs_s, top):
-                    continue
-            else:  # only cl(()) is read, and one signature, the full columns, gives it
-                sigs_r = [sum(1 << c for c, (m, _) in enumerate(cols) if m == full_r)]
-                sigs_s = [sum(1 << c for c, (_, m) in enumerate(cols) if m == full_s)]
+            if _same_closed_sets(sigs_r, sigs_s, top):
+                continue
             for k in range(max_premises + 1):
                 for prems in combinations(range(len(atoms)), k):
                     prem = sum({bits[i] for i in prems})  # the OR of distinct powers of 2
