@@ -17,7 +17,8 @@ class EnumerationCaps:
     max_dim: int = 8
     # candidate generator-image tuples when enumerating group homs
     max_hom_candidates: int = 2**20
-    # matrices enumerated per group hom when solving equivariance systems
+    # matrices enumerated per group hom when solving equivariance systems,
+    # checked on each group hom a consumer of the hom stream reaches
     max_matrices_per_beta: int = 2**20
     # points |V|^|X| * |G|^|Y| of an assignment space, checked before any
     # decider looks at one (the deciders then visit only the |G|^|Y| group

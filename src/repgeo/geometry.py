@@ -40,13 +40,13 @@ from .freemod import (
     word_key,
     word_value,
 )
-from .groups import FiniteGroup, GroupHom, enumerate_group_homs, hom_defect
+from .groups import FiniteGroup, GroupHom, _group_homs, hom_defect
 from .linalg import all_vectors, nullspace, rref, span_elements, vec_mat, zero_vec
 from .reps import (
     RepHom,
     Representation,
+    _rep_homs,
     check_rep_hom,
-    enumerate_rep_homs,
     faithful_image,
     kernel_of_matrix_family,
 )
@@ -520,69 +520,62 @@ class SeparationOutcome:
     inseparable_pair: Optional[tuple] = None
 
 
+def _split_kernel(g: FiniteGroup, kernel: list[int], image: Sequence[int], label: str):
+    """Cut the joint kernel K of the chosen homs (its non-identity elements,
+    ascending) by one more hom.  The pairs i < j still joined are those with
+    i^-1 j in K; it separates those with j = i k, k in K off its kernel."""
+    moved = [k for k in kernel if image[k]]
+    if not moved:  # O(|K|) for a hom that separates nothing new
+        return kernel, []
+    pairs = sorted((i, row[k]) for i, row in enumerate(g.table) for k in moved if i < row[k])
+    notes = [f"{label} ({g.names[i]}, {g.names[j]})" for i, j in pairs]
+    return [k for k in kernel if not image[k]], notes
+
+
 def _separate_group(
     src: FiniteGroup, tgt: FiniteGroup, caps: EnumerationCaps
 ) -> SeparationOutcome:
-    homs = enumerate_group_homs(src, tgt, caps)
-    pairs = {(i, j) for i in range(src.order) for j in range(i + 1, src.order)}
+    kernel = list(range(1, src.order))
     chosen: list[GroupHom] = []
     notes: list[str] = []
-    for h in homs:
-        new = {pq for pq in pairs if h.image[pq[0]] != h.image[pq[1]]}
+    for h in _group_homs(src, tgt, caps):
+        kernel, new = _split_kernel(src, kernel, h.image, f"hom {len(chosen)} separates")
         if new:
             chosen.append(h)
-            for i, j in sorted(new):
-                notes.append(
-                    f"hom {len(chosen) - 1} separates ({src.names[i]}, {src.names[j]})"
-                )
-            pairs -= new
-        if not pairs:
+            notes += new
+        if not kernel:
             break
-    if pairs:
-        i, j = min(pairs)
-        return SeparationOutcome(None, "group", (src.names[i], src.names[j]))
-    return SeparationOutcome(
-        SeparationCertificate(src, tgt, tuple(chosen), tuple(notes))
-    )
+    if kernel:
+        return SeparationOutcome(None, "group", (src.names[0], src.names[kernel[0]]))
+    return SeparationOutcome(SeparationCertificate(src, tgt, tuple(chosen), tuple(notes)))
 
 
 def _separate_rep(
     src: Representation, tgt: Representation, caps: EnumerationCaps
 ) -> SeparationOutcome:
-    homs = enumerate_rep_homs(src, tgt, caps)
     g = src.group
-    pairs = {(i, j) for i in range(g.order) for j in range(i + 1, g.order)}
+    kernel = list(range(1, g.order))
     chosen: list[RepHom] = []
     notes: list[str] = []
     mats: list = []
-    kdim = src.dim  # dimension of the current joint kernel
-    for h in homs:
-        new = {pq for pq in pairs if h.grouphom.image[pq[0]] != h.grouphom.image[pq[1]]}
-        nk = len(kernel_of_matrix_family(src.p, mats + [h.matrix], src.dim))
-        if new or nk < kdim:
+    basis = kernel_of_matrix_family(src.p, mats, src.dim)  # of the joint vector kernel
+    for h in _rep_homs(src, tgt, caps):
+        label = f"hom {len(chosen)}"
+        kernel, new = _split_kernel(g, kernel, h.grouphom.image, f"{label} separates group pair")
+        if any(any(vec_mat(src.p, v, h.matrix)) for v in basis):
+            basis = kernel_of_matrix_family(src.p, mats + [h.matrix], src.dim)
+            new.append(f"{label} cuts joint kernel to dim {len(basis)}")
+        if new:
             chosen.append(h)
             mats.append(h.matrix)
-            for i, j in sorted(new):
-                notes.append(
-                    f"hom {len(chosen) - 1} separates group pair ({g.names[i]}, {g.names[j]})"
-                )
-            if nk < kdim:
-                notes.append(f"hom {len(chosen) - 1} cuts joint kernel to dim {nk}")
-            pairs -= new
-            kdim = nk
-        if not pairs and kdim == 0:
+            notes += new
+        if not kernel and not basis:
             break
-    if pairs:
-        i, j = min(pairs)
-        return SeparationOutcome(None, "group", (g.names[i], g.names[j]))
-    if kdim > 0:
-        v = next(
-            v for v in kernel_of_matrix_family(src.p, mats, src.dim) if any(v)
-        )
-        return SeparationOutcome(None, "vector", (v, zero_vec(src.dim)))
-    return SeparationOutcome(
-        SeparationCertificate(src, tgt, tuple(chosen), tuple(notes))
-    )
+    if kernel:
+        return SeparationOutcome(None, "group", (g.names[0], g.names[kernel[0]]))
+    if basis:
+        return SeparationOutcome(None, "vector", (basis[0], zero_vec(src.dim)))
+    return SeparationOutcome(SeparationCertificate(src, tgt, tuple(chosen), tuple(notes)))
 
 
 def separates_points(source, target, caps: EnumerationCaps = DEFAULT_CAPS) -> SeparationOutcome:

@@ -1,7 +1,7 @@
 """Cayley-table groups: validation, constructors, subgroups, quotients,
 and exhaustive homomorphism enumeration.  Associativity (Light's test) is
-checked on the greedy generators; homs are searched along the subgroup
-chain those generators span, comparing Schreier relators only.
+checked on the greedy generators; homs are drawn lazily in image-table
+order along the subgroup chain they span, comparing Schreier relators only.
 """
 
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import DEFAULT_CAPS, EnumerationCaps
 from .errors import EnumerationCapExceeded, InvalidInput, NotAGroup, NotNormal
@@ -312,7 +312,12 @@ def _subgroup_chain(table: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
 def enumerate_group_homs(
     g: FiniteGroup, h: FiniteGroup, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> list[GroupHom]:
-    """All homomorphisms G -> H, sorted by image table.
+    """All homomorphisms G -> H, sorted by image table (see _group_homs)."""
+    return list(_group_homs(g, h, caps))
+
+
+def _group_homs(g: FiniteGroup, h: FiniteGroup, caps: EnumerationCaps) -> Iterator[GroupHom]:
+    """The homomorphisms G -> H, drawn lazily in image-table order.
 
     The search runs along the chain of _subgroup_chain (Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005).  At level j,
@@ -325,8 +330,13 @@ def enumerate_group_homs(
     and s <= j exactly when the relators hold, and that makes phi a hom on
     G_j, as every element of G_j is a product of g_1..g_j.
 
-    max_hom_candidates bounds |H|^k, the generator-image tuples, and is
-    checked before any of them is tried.
+    Each level extends the previous one's stream prefix by prefix, so homs
+    come out in lexicographic order of generator images.  That is image-table
+    order: g_j is the least element outside G_{j-1}, so homs whose generator
+    images first differ at g_j agree on every element before it and not on it.
+
+    The caps are checked when this is called, before any hom is drawn;
+    max_hom_candidates bounds |H|^k, the generator-image tuples.
     """
     for grp in (g, h):
         if grp.order > caps.max_group_order:
@@ -338,10 +348,8 @@ def enumerate_group_homs(
     # right[s][x] = x * s in H
     right = [[row[s] for row in h.table] for s in range(h.order)]
     to_element_order = itemgetter(*order)
-    found = [((), (0,))] if levels else [(0,)]  # (generator images, block images)
-    for depth, (tree, rels) in enumerate(levels, 1):
-        last = depth == len(levels)
-        out = []
+
+    def extend(found, tree, rels, last):
         for gimgs, block in found:
             by = [right[x] for x in gimgs] + [None]
             checks = [(i, s, block[pos], c) for i, s, c, pos in rels]
@@ -357,6 +365,9 @@ def enumerate_group_homs(
                         break
                 else:
                     images = tuple(chain.from_iterable(map(translates.__getitem__, xs)))
-                    out.append(to_element_order(images) if last else (gimgs + (t,), images))
-        found = out
-    return [GroupHom(g, h, img) for img in sorted(found)]
+                    yield to_element_order(images) if last else (gimgs + (t,), images)
+
+    found = iter([((), (0,))] if levels else [(0,)])  # (generator images, block images)
+    for depth, (tree, rels) in enumerate(levels, 1):
+        found = extend(found, tree, rels, depth == len(levels))
+    return (GroupHom(g, h, img) for img in found)

@@ -7,7 +7,7 @@ with the row-vector right-action convention v . act[g].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .config import DEFAULT_CAPS, EnumerationCaps
 from .errors import (
@@ -23,8 +23,8 @@ from .groups import (
     GroupHom,
     Subgroup,
     _cayley_graph,
+    _group_homs,
     compose_group_homs,
-    enumerate_group_homs,
     hom_defect,
     quotient_group,
     subgroup,
@@ -181,7 +181,12 @@ def compose_rep_homs(f: RepHom, g: RepHom) -> RepHom:
 def enumerate_rep_homs(
     r: Representation, s: Representation, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> list[RepHom]:
-    """All representation homomorphisms (alpha, beta): R -> S.
+    """All representation homomorphisms (alpha, beta): R -> S (see _rep_homs)."""
+    return list(_rep_homs(r, s, caps))
+
+
+def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> Iterator[RepHom]:
+    """The representation homomorphisms (alpha, beta): R -> S, drawn lazily.
 
     For each group hom beta the equivariance conditions
     act_r(g) . A = A . act_s(beta(g)) are linear in the entries of the
@@ -190,36 +195,38 @@ def enumerate_rep_homs(
     exact: act_r, act_s and beta are homomorphisms, so if A intertwines at
     g and at a generator t, it intertwines at g * t, and every element is
     reached from the identity along such Cayley-graph edges.  Order is
-    deterministic: beta image table first, then matrix entries.
+    deterministic: beta image table first, then matrix entries.  Fields and
+    caps are checked on the call, max_matrices_per_beta on each beta reached.
     """
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
-    p = r.p
-    nunk = r.dim * s.dim
+    betas = _group_homs(r.group, s.group, caps)
     gens = _cayley_graph(r.group.table)[0]
-    out: list[RepHom] = []
-    for beta in enumerate_group_homs(r.group, s.group, caps):
-        rows = []
-        for g in gens:
-            ra = r.act[g]
-            sa = s.act[beta.image[g]]
-            for i in range(r.dim):
-                for j in range(s.dim):
-                    row = [0] * nunk
-                    for k in range(r.dim):
-                        row[k * s.dim + j] = (row[k * s.dim + j] + ra[i][k]) % p
-                    for l in range(s.dim):
-                        row[i * s.dim + l] = (row[i * s.dim + l] - sa[l][j]) % p
-                    rows.append(row)
-        basis = nullspace(p, rows, nunk)
-        count = p ** len(basis)
-        if count > caps.max_matrices_per_beta:
-            raise EnumerationCapExceeded(caps.max_matrices_per_beta, count, "matrices per beta")
-        entries = sorted(span_elements(p, basis, nunk))
-        for e in entries:
-            m = tuple(tuple(e[i * s.dim : (i + 1) * s.dim]) for i in range(r.dim))
-            out.append(RepHom(r, s, m, beta))
-    return out
+    p, nunk = r.p, r.dim * s.dim
+
+    def solve():
+        for beta in betas:
+            rows = []
+            for g in gens:
+                ra = r.act[g]
+                sa = s.act[beta.image[g]]
+                for i in range(r.dim):
+                    for j in range(s.dim):
+                        row = [0] * nunk
+                        for k in range(r.dim):
+                            row[k * s.dim + j] = (row[k * s.dim + j] + ra[i][k]) % p
+                        for l in range(s.dim):
+                            row[i * s.dim + l] = (row[i * s.dim + l] - sa[l][j]) % p
+                        rows.append(row)
+            basis = nullspace(p, rows, nunk)
+            count = p ** len(basis)
+            if count > caps.max_matrices_per_beta:
+                raise EnumerationCapExceeded(caps.max_matrices_per_beta, count, "matrices per beta")
+            for e in sorted(span_elements(p, basis, nunk)):
+                m = tuple(tuple(e[i * s.dim : (i + 1) * s.dim]) for i in range(r.dim))
+                yield RepHom(r, s, m, beta)
+
+    return solve()
 
 
 def rep_isomorphic(
@@ -230,10 +237,8 @@ def rep_isomorphic(
         raise FieldMismatch("representations over different fields")
     if r.dim != s.dim or r.group.order != s.group.order:
         return None
-    for h in enumerate_rep_homs(r, s, caps):
-        if h.grouphom.is_bijective() and is_invertible(r.p, h.matrix):
-            return h
-    return None
+    isos = (h for h in _rep_homs(r, s, caps) if h.grouphom.is_bijective())
+    return next((h for h in isos if is_invertible(r.p, h.matrix)), None)
 
 
 def kernel_of_matrix_family(p: int, mats: Sequence[Matrix], dim: int) -> list[Vector]:

@@ -1,5 +1,6 @@
 """A maximally naive second route for quasi-identity checking, solution
-sets, the witness scans, the bounded pools and group hom enumeration.
+sets, the witness scans, the bounded pools, group hom enumeration and
+point separation by a hom family.
 
 Formulas are raw syntax trees evaluated by direct recursion, with no
 canonical forms, no reduction, and no reuse of the package's term
@@ -11,7 +12,9 @@ oracle tries every premise set against every conclusion.  Two oracles are
 exceptions to the above: the pool oracle builds each element term by term
 through the package's module addition, and the rep hom oracle solves its
 intertwiner equations, one block per group element, with the package's
-nullspace.
+nullspace.  The separation oracle takes its homs from the package's
+enumerators, sorted here, and its joint vector kernels from the package's
+kernel_of_matrix_family.
 """
 
 from __future__ import annotations
@@ -19,11 +22,14 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from repgeo import (
+    FiniteGroup,
     FreeContext,
     GroupAtom,
     ModuleAtom,
     QuasiIdentity,
     bounded_words,
+    enumerate_group_homs,
+    enumerate_rep_homs,
     identity_word,
     invert_word,
     module_add,
@@ -36,7 +42,9 @@ from repgeo import (
     xgen,
 )
 from repgeo.freemod import atom_key, module_key
+from repgeo.geometry import SeparationCertificate, SeparationOutcome
 from repgeo.linalg import nullspace, span_elements
+from repgeo.reps import kernel_of_matrix_family
 
 # word trees: ("id",) | ("gen", yname) | ("mul", t, t) | ("inv", t)
 # module trees: ("zero",) | ("xgen", xname) | ("add", t, t) | ("neg", t)
@@ -394,3 +402,46 @@ def naive_rep_homs(r, s):
             m = tuple(tuple(e[i * s.dim : (i + 1) * s.dim]) for i in range(r.dim))
             out.append((image, m))
     return out
+
+
+# -- point separation by the whole hom list, pair by pair ---------------------
+
+
+def naive_separate(source, target):
+    """The greedy separation certificate from the full hom list, sorted by
+    image table (then matrix): a hom is chosen when it separates a pair of
+    the remaining pair set, or when kernel_of_matrix_family, run again for
+    every hom, shows it lowers the joint vector kernel's dimension."""
+    is_rep = not isinstance(source, FiniteGroup)
+    if is_rep:
+        group, kdim, word = source.group, source.dim, "group pair "
+        homs = enumerate_rep_homs(source, target)
+        homs.sort(key=lambda h: (h.grouphom.image, h.matrix))
+    else:
+        group, kdim, word = source, 0, ""
+        homs = sorted(enumerate_group_homs(source, target), key=lambda h: h.image)
+    pairs = set(combinations(range(group.order), 2))
+    chosen, notes, mats = [], [], []
+    for h in homs:
+        image = h.grouphom.image if is_rep else h.image
+        new = {(i, j) for i, j in pairs if image[i] != image[j]}
+        nk = len(kernel_of_matrix_family(source.p, mats + [h.matrix], source.dim)) if is_rep else 0
+        if new or nk < kdim:
+            chosen.append(h)
+            mats += [h.matrix] if is_rep else []
+            for i, j in sorted(new):
+                a, b = group.names[i], group.names[j]
+                notes.append(f"hom {len(chosen) - 1} separates {word}({a}, {b})")
+            if nk < kdim:
+                notes.append(f"hom {len(chosen) - 1} cuts joint kernel to dim {nk}")
+            pairs -= new
+            kdim = nk
+        if not pairs and kdim == 0:
+            break
+    if pairs:
+        i, j = min(pairs)
+        return SeparationOutcome(None, "group", (group.names[i], group.names[j]))
+    if kdim:
+        v = next(v for v in kernel_of_matrix_family(source.p, mats, source.dim) if any(v))
+        return SeparationOutcome(None, "vector", (v, (0,) * source.dim))
+    return SeparationOutcome(SeparationCertificate(source, target, tuple(chosen), tuple(notes)))

@@ -22,6 +22,7 @@ from repgeo import (
     bounded_module_elements,
     bounded_words,
     cyclic_group,
+    enumerate_rep_homs,
     equation_system,
     faithful_image,
     find_at_witness,
@@ -35,6 +36,7 @@ from repgeo import (
     module_add,
     module_scale,
     paper_witness_qid,
+    product_group,
     ring_from_terms,
     separates_points,
     serialize,
@@ -49,7 +51,12 @@ from repgeo import (
 from repgeo import geometry
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
-from repgeo.errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
+from repgeo.errors import (
+    EnumerationCapExceeded,
+    FieldMismatch,
+    InvalidInput,
+    SearchSpaceCapExceeded,
+)
 from repgeo.freemod import atom_key, module_key
 from repgeo.geometry import (
     _atom_sat_mask,
@@ -72,12 +79,14 @@ from naive import (
     naive_fulfills,
     naive_least_violation,
     naive_scan_asymmetries,
+    naive_separate,
     naive_signatures,
     naive_solutions,
     random_atom_tree,
     random_qid_trees,
     trees_to_qid,
 )
+from test_groups import _GROUPS, _relabelled
 
 
 def _ctx():
@@ -388,6 +397,83 @@ def test_separates_rep_identity(r1):
     cert = out.certificate
     assert cert is not None
     assert validate_separation_certificate(cert)
+
+
+def _separation_zoo():
+    zoo = dict(_GROUPS)
+    zoo.update({f"Z{n}": cyclic_group(n, "g") for n in (5, 7, 8)})
+    zoo["Z4^2"] = product_group(cyclic_group(4, "d"), cyclic_group(4, "e"))
+    for name, seed in (("S3", 2), ("Z4xZ2", 2), ("Z2^3", 2), ("GL(2,3)", 1)):
+        zoo[name + " shuffled"] = _relabelled(zoo[name], seed)
+    return zoo
+
+
+def test_group_separation_matches_the_whole_list_greedy():
+    # the library draws homs in order and tracks the joint kernel; the
+    # oracle walks the full sorted list with a set of unseparated pairs
+    seen = set()
+    zoo = _separation_zoo()
+    for g in zoo.values():
+        for h in zoo.values():
+            out = separates_points(g, h)
+            assert out == naive_separate(g, h)
+            cert = out.certificate
+            seen.add("inseparable" if cert is None else min(len(cert.homs), 3))
+    assert seen == {"inseparable", 0, 1, 2, 3}
+
+
+def test_rep_separation_matches_the_whole_list_greedy():
+    rng = random.Random(5)
+    pairs = []
+    for _ in range(160):
+        r = random_representation(rng)
+        pairs.append((r, random_representation(rng, primes=(r.p,))))
+    pairs += [tuple(_cyclic_power_rep(rng, 3, 5, 12) for _ in range(2)) for _ in range(4)]
+    seen = set()
+    for r, s in pairs:
+        out = separates_points(r, s)
+        assert out == naive_separate(r, s)
+        seen.add(out.inseparable_sort)
+        if out.certificate is not None:
+            # homs chosen for group pairs and homs chosen for the vector kernel
+            notes = [n.split()[1:3] for n in out.certificate.notes]
+            seen |= {tuple(sorted({kind for i, kind in notes if i == j})) for j, _ in notes}
+    assert seen >= {None, "group", "vector", ("cuts",), ("separates",)}
+
+
+def test_self_separation_stops_at_the_first_injective_prefix():
+    # Z4^3 has 262,144 homs into itself.  Listing them all before looking at
+    # the first took about 4.7 s; drawing them until the chosen ones are
+    # jointly injective takes about 0.1 s
+    script = (
+        "from repgeo import cyclic_group, geo_equivalent, product_group\n"
+        "z4 = [cyclic_group(4, x) for x in 'abc']\n"
+        "g = product_group(product_group(z4[0], z4[1]), z4[2])\n"
+        "print(type(geo_equivalent(g, g)).__name__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=2
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["Equivalent"]
+
+
+def test_per_beta_cap_is_checked_on_the_betas_separation_reaches():
+    # Z2 by -1 on GF(3) into V4 on GF(3)^2: the betas a -> 1, b, a, a.b have
+    # 1, 3, 3 and 9 intertwiners.  Separation is done inside beta a -> b
+    r = make_representation(PrimeField(3), 1, cyclic_group(2, "a"), {"a": [[2]]})
+    v4 = product_group(cyclic_group(2, "a"), cyclic_group(2, "b"))
+    s = make_representation(
+        PrimeField(3), 2, v4, {1: [[2, 0], [0, 1]], 2: [[1, 0], [0, 2]], 3: [[2, 0], [0, 2]]}
+    )
+    caps = EnumerationCaps(max_matrices_per_beta=3)
+    with pytest.raises(EnumerationCapExceeded, match="needs 9 > cap 3"):
+        enumerate_rep_homs(r, s, caps)
+    cert = separates_points(r, s, caps).certificate
+    assert [h.grouphom.image for h in cert.homs] == [(0, 1), (0, 1)]
+    with pytest.raises(EnumerationCapExceeded, match="needs 3 > cap 2"):
+        separates_points(r, s, EnumerationCaps(max_matrices_per_beta=2))
 
 
 # -- geo equivalence ---------------------------------------------------------

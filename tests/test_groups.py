@@ -18,7 +18,7 @@ from repgeo import (
 )
 from repgeo.config import EnumerationCaps
 from repgeo.errors import EnumerationCapExceeded, InvalidInput
-from repgeo.groups import _cayley_graph
+from repgeo.groups import _cayley_graph, _group_homs
 from repgeo.sampling import general_linear_group, symmetric_group_3
 
 from naive import naive_group_homs
@@ -310,6 +310,28 @@ def test_shuffled_domains_reach_deep_and_non_normal_levels():
                 for m in low
             )
     assert max(depths) >= 3 and non_normal
+
+
+@pytest.mark.parametrize("gname,seed", [("S3", 0), ("Z4xZ2", 1), ("Z2^3", 2), ("GL(2,3)", 1)])
+def test_hom_list_is_in_generator_image_order(gname, seed):
+    # image-table order is the lexicographic order of the greedy generators'
+    # images; the search emits that order and nothing sorts it afterwards
+    g = _relabelled(_GROUPS[gname], seed)
+    gens = _cayley_graph(g.table)[0]
+    assert gname != "GL(2,3)" or len(gens) == 3
+    for hname in ["Z2", "V4", "S3", "Z4xZ2", "GL(2,3)"]:
+        images = [x.image for x in enumerate_group_homs(g, _GROUPS[hname])]
+        keys = [tuple(image[s] for s in gens) for image in images]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert images == sorted(images)
+
+
+def test_hom_stream_checks_its_caps_before_drawing():
+    g, h = _GROUPS["Z2^3"], _GROUPS["S3"]
+    with pytest.raises(EnumerationCapExceeded, match="hom search"):
+        _group_homs(g, h, EnumerationCaps(max_hom_candidates=h.order**3 - 1))
+    with pytest.raises(EnumerationCapExceeded, match="group order"):
+        _group_homs(g, h, EnumerationCaps(max_group_order=7))
 
 
 def test_hom_candidate_cap_edge():

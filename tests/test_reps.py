@@ -6,6 +6,7 @@ import pytest
 
 from repgeo import (
     EnumerationCapExceeded,
+    FieldMismatch,
     NotAnAction,
     PrimeField,
     check_rep_hom,
@@ -20,6 +21,7 @@ from repgeo import (
 from repgeo.config import EnumerationCaps
 from repgeo.groups import normality_witness
 from repgeo.linalg import mat_identity
+from repgeo.reps import _rep_homs
 from repgeo.sampling import general_linear_group, random_representation
 
 from naive import naive_rep_homs
@@ -221,6 +223,14 @@ def test_rep_homs_match_all_elements_equations():
     assert seen >= {("dim", d) for d in (1, 2, 3)} | {("p", p) for p in (2, 3, 5)} | {
         ("only the zero matrix", True), ("only the zero matrix", False),
         ("non-abelian", True), ("non-faithful", True)}
+
+
+def test_rep_hom_stream_checks_field_and_caps_before_drawing(trivial_rep):
+    other = make_representation(PrimeField(3), 2, trivial_rep.group, {"a": [[1, 0], [0, 1]]})
+    with pytest.raises(FieldMismatch):
+        _rep_homs(trivial_rep, other, EnumerationCaps())
+    with pytest.raises(EnumerationCapExceeded, match="hom search"):
+        _rep_homs(trivial_rep, trivial_rep, EnumerationCaps(max_hom_candidates=1))
 
 
 def test_max_matrices_per_beta_cap(trivial_rep):
