@@ -41,7 +41,7 @@ from .freemod import (
     word_value,
 )
 from .groups import FiniteGroup, GroupHom, _group_homs, hom_defect
-from .linalg import all_vectors, nullspace, rref, span_elements, vec_mat, zero_vec
+from .linalg import all_vectors, kernel_rref, span_elements, vec_mat, zero_vec
 from .reps import (
     RepHom,
     Representation,
@@ -114,10 +114,11 @@ def _columns(
 
 def _solution_spaces(
     rep: Representation, ctx: FreeContext, premises: Sequence[Atom]
-) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
     """(y, S_y) for each y-point, in order, at which the group premises
     hold: S_y is the subspace of flat x-vectors solving the module
-    premises, as a basis in reduced row echelon form."""
+    premises, as its unique basis in reduced row echelon form, which
+    ``kernel_rref`` finds with one elimination per y-point."""
     n = len(ctx.xvars) * rep.dim
     words = [a.word for a in premises if isinstance(a, GroupAtom)]
     elems = [a.element for a in premises if isinstance(a, ModuleAtom)]
@@ -125,7 +126,7 @@ def _solution_spaces(
         if any(word_value(rep.group, y, w) for w in words):
             continue
         rows = [col for u in elems for col in _columns(rep, _terms_at(rep, y, u), n)]
-        yield y, rref(rep.p, nullspace(rep.p, rows, n))[0]
+        yield y, kernel_rref(rep.p, rows, n)
 
 
 def _least_violation(
@@ -155,8 +156,8 @@ def _least_violation(
         cols = _columns(rep, _terms_at(rep, y, conclusion.element), n)
         for b in reversed(basis):
             if any(sum(s * t for s, t in zip(b, col)) % p for col in cols):
-                if best is None or tuple(b) < best[0]:
-                    best = (tuple(b), y)
+                if best is None or b < best[0]:
+                    best = (b, y)
                 break
     return None if best is None else _assignment(rep, *best)
 

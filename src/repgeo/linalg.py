@@ -122,6 +122,12 @@ def nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]
     return basis
 
 
+def kernel_rref(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
+    """The RREF basis of {x : M x = 0} from one elimination: on reversed columns
+    each kernel vector leads with its free column's 1, 0 at the other free ones."""
+    return [v[::-1] for v in reversed(nullspace(p, [r[::-1] for r in rows], ncols))]
+
+
 def is_invertible(p: int, a: Matrix) -> bool:
     n = len(a)
     if n == 0:

@@ -35,6 +35,7 @@ from .linalg import (
     Vector,
     all_vectors,
     is_invertible,
+    kernel_rref,
     mat_identity,
     mat_mul,
     nullspace,
@@ -97,11 +98,14 @@ def make_representation(
     if missing:
         raise InvalidInput(f"missing action matrices for: {', '.join(missing)}")
     full = tuple(m for m in mats if m is not None)
-    # full multiplicativity sweep; invertibility follows from it
-    for i in range(group.order):
-        for j in range(group.order):
-            if mat_mul(p, full[i], full[j]) != full[group.table[i][j]]:
-                raise NotAnAction(group.names[i], group.names[j])
+    # act(g) act(s) = act(g s) at the greedy generators s suffices, and makes act
+    # invertible: each h is a left-normed product of them and act(1) = I.  Only a
+    # failure sweeps every pair, to name the first failing one in row order
+    gens, n, t = _cayley_graph(group.table)[0], group.order, group.table
+    if any(mat_mul(p, full[i], full[s]) != full[t[i][s]] for i in range(n) for s in gens):
+        i, j = next((i, j) for i in range(n) for j in range(n)
+                    if mat_mul(p, full[i], full[j]) != full[t[i][j]])
+        raise NotAnAction(group.names[i], group.names[j])
     return Representation(field, dim, group, full)
 
 
@@ -195,8 +199,10 @@ def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> It
     exact: act_r, act_s and beta are homomorphisms, so if A intertwines at
     g and at a generator t, it intertwines at g * t, and every element is
     reached from the identity along such Cayley-graph edges.  Order is
-    deterministic: beta image table first, then matrix entries.  Fields and
-    caps are checked on the call, max_matrices_per_beta on each beta reached.
+    deterministic: beta image table first, then matrix entries, the order in
+    which span_elements draws the span of an RREF basis (see
+    geometry._least_violation).  Fields and caps are checked on the call,
+    max_matrices_per_beta on each beta reached.
     """
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
@@ -218,11 +224,11 @@ def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> It
                         for l in range(s.dim):
                             row[i * s.dim + l] = (row[i * s.dim + l] - sa[l][j]) % p
                         rows.append(row)
-            basis = nullspace(p, rows, nunk)
+            basis = kernel_rref(p, rows, nunk)
             count = p ** len(basis)
             if count > caps.max_matrices_per_beta:
                 raise EnumerationCapExceeded(caps.max_matrices_per_beta, count, "matrices per beta")
-            for e in sorted(span_elements(p, basis, nunk)):
+            for e in span_elements(p, basis, nunk):
                 m = tuple(tuple(e[i * s.dim : (i + 1) * s.dim]) for i in range(r.dim))
                 yield RepHom(r, s, m, beta)
 

@@ -1,6 +1,6 @@
 """A maximally naive second route for quasi-identity checking, solution
-sets, the witness scans, the bounded pools, group hom enumeration and
-point separation by a hom family.
+sets, the witness scans, the bounded pools, group hom enumeration, the
+action law of a representation and point separation by a hom family.
 
 Formulas are raw syntax trees evaluated by direct recursion, with no
 canonical forms, no reduction, and no reuse of the package's term
@@ -12,8 +12,9 @@ oracle tries every premise set against every conclusion.  Two oracles are
 exceptions to the above: the pool oracle builds each element term by term
 through the package's module addition, and the rep hom oracle solves its
 intertwiner equations, one block per group element, with the package's
-nullspace.  The separation oracle takes its homs from the package's
-enumerators, sorted here, and its joint vector kernels from the package's
+nullspace.  The action-law oracle multiplies every pair of matrices.  The
+separation oracle takes its homs from the package's enumerators, sorted
+here, and its joint vector kernels from the package's
 kernel_of_matrix_family.
 """
 
@@ -402,6 +403,26 @@ def naive_rep_homs(r, s):
             m = tuple(tuple(e[i * s.dim : (i + 1) * s.dim]) for i in range(r.dim))
             out.append((image, m))
     return out
+
+
+# -- the action law at every pair of elements ---------------------------------
+
+
+def naive_action_defect(group, act, p):
+    """The first (g, h), in row-major order, as element names, at which
+    act[g] . act[h] != act[g h] over GF(p), or None: every pair is tried,
+    with the matrix product written out.  act is index-aligned with the
+    group's elements."""
+    n = len(act[0])
+    for g in range(group.order):
+        for h in range(group.order):
+            prod = [
+                [sum(act[g][i][k] * act[h][k][j] for k in range(n)) % p for j in range(n)]
+                for i in range(n)
+            ]
+            if prod != [[x % p for x in row] for row in act[group.table[g][h]]]:
+                return group.names[g], group.names[h]
+    return None
 
 
 # -- point separation by the whole hom list, pair by pair ---------------------

@@ -2,7 +2,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from repgeo import (
     bounded_module_elements,
     bounded_words,
     cyclic_group,
+    enumerate_group_homs,
     enumerate_rep_homs,
     equation_system,
     faithful_image,
@@ -29,6 +31,7 @@ from repgeo import (
     find_separating_qid,
     fulfills_qid,
     geo_equivalent,
+    group_from_table,
     in_at_closure,
     in_closure,
     make_representation,
@@ -48,7 +51,7 @@ from repgeo import (
     xgen,
     ygen,
 )
-from repgeo import geometry
+from repgeo import geometry, linalg
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
 from repgeo.errors import (
@@ -65,9 +68,9 @@ from repgeo.geometry import (
     _signatures,
     scan_context,
 )
-from repgeo.linalg import is_invertible, mat_identity, mat_mul
+from repgeo.linalg import is_invertible, mat_identity, mat_mul, rref
 from repgeo.reps import Representation
-from repgeo.sampling import random_qid, random_representation
+from repgeo.sampling import general_linear_group, random_qid, random_representation
 from repgeo.textio import infer_context, parse_qid
 
 from naive import (
@@ -645,18 +648,21 @@ def _cyclic_power_rep(rng, dim, p, max_order):
             powers.append(nxt)
 
 
-def test_deciders_match_brute_force_oracle():
-    # witnesses and solution order included; the space is kept small enough
-    # for the oracle, which visits every point
-    rng = random.Random(61)
+def _check_deciders(rng, draw_rep, rounds):
+    """fulfills_qid, in_closure and solution_set against the oracle on
+    random qids over reps from draw_rep(rng, dim, p, max_order), which may
+    return None; witnesses and solution order included.  The space is kept
+    small enough for the oracle, which visits every point."""
     limit = 2000
     seen = set()
-    for _ in range(400):
+    for _ in range(rounds):
         dim, p, nx, ny = (rng.choice(v) for v in ((1, 2, 3), (2, 3, 5), (1, 2), (1, 2)))
         max_order = int((limit / p ** (dim * nx)) ** (1 / ny))
         if max_order < 2:
             continue
-        rep = _cyclic_power_rep(rng, dim, p, max_order)
+        rep = draw_rep(rng, dim, p, max_order)
+        if rep is None:
+            continue
         xnames = [f"x{i}" for i in range(1, nx + 1)]
         ynames = [f"y{i}" for i in range(1, ny + 1)]
         ctx = FreeContext(tuple(xnames), tuple(ynames))
@@ -675,6 +681,7 @@ def test_deciders_match_brute_force_oracle():
         assert got == naive_solutions(rep, xnames, ynames, prems)
         module_atoms = [a for a in (*q.premises, q.conclusion) if isinstance(a, ModuleAtom)]
         seen |= {("dim", dim), ("p", p), ("nx", nx), ("ny", ny), ("holds", ok)}
+        seen.add(("order", rep.group.order))
         seen.add(("dim 3, p 5", (dim, p) == (3, 5)))
         seen.add(("no premises", not prems))
         seen.add(("group premise", bool(sys.group_part)))
@@ -685,6 +692,70 @@ def test_deciders_match_brute_force_oracle():
     for flag in ("holds", "dim 3, p 5", "no premises", "group premise", "group conclusion",
                  "zero module atom"):
         assert {(flag, True), (flag, False)} <= seen
+    return seen
+
+
+def test_deciders_match_brute_force_oracle():
+    _check_deciders(random.Random(61), _cyclic_power_rep, 400)
+
+
+@lru_cache(maxsize=None)
+def _signed_permutations(dim):
+    """The group of dim x dim signed permutation matrices, identity first,
+    and its index-aligned integer matrices: an action over every GF(p)."""
+    mats = [
+        tuple(tuple(signs[i] * (j == perm[i]) for j in range(dim)) for i in range(dim))
+        for perm in permutations(range(dim))
+        for signs in product((1, -1), repeat=dim)
+    ]
+    idx = {m: i for i, m in enumerate(mats)}
+
+    def times(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(r, c)) for c in zip(*b)) for r in a)
+
+    table = [[idx[times(a, b)] for b in mats] for a in mats]
+    return group_from_table(["1"] + [f"s{i}" for i in range(1, len(mats))], table), mats
+
+
+@lru_cache(maxsize=None)
+def _homs_into_signed_permutations(name, dim):
+    return enumerate_group_homs(_GROUPS[name], _signed_permutations(dim)[0])
+
+
+def _non_cyclic_rep(rng, dim, p, max_order):
+    """V4, Z4xZ2 or S3 = GL(2,2) acting through a random hom into the
+    signed permutations, or for S3 at p = 2 through GL(2,2) on the first two
+    coordinates, in a random basis of GF(p)^dim."""
+    names = [n for n in ("V4", "Z4xZ2", "S3") if _GROUPS[n].order <= max_order]
+    if not names:
+        return None
+    name = rng.choice(names)
+    g = _GROUPS[name]
+    ident = mat_identity(dim)
+    if name == "S3" and p == 2 and dim >= 2 and rng.random() < 0.5:
+        acts = [
+            tuple(tuple(m[i][j] if i < 2 and j < 2 else ident[i][j] for j in range(dim))
+                  for i in range(dim))
+            for m in general_linear_group(2, 2)[1]
+        ]
+    else:
+        mats = _signed_permutations(dim)[1]
+        image = rng.choice(_homs_into_signed_permutations(name, dim)).image
+        acts = [tuple(tuple(x % p for x in row) for row in mats[k]) for k in image]
+    while True:
+        basis = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(dim))
+        if is_invertible(p, basis):
+            break
+    inverse = tuple(tuple(r[dim:]) for r in rref(p, [b + e for b, e in zip(basis, ident)])[0])
+    act = {e: mat_mul(p, mat_mul(p, inverse, a), basis) for e, a in enumerate(acts)}
+    return make_representation(PrimeField(p), dim, g, act)
+
+
+def test_deciders_match_brute_force_oracle_on_non_cyclic_groups():
+    # several greedy generators, so the word values that reach the
+    # solution-space kernels are products of more than one generator
+    seen = _check_deciders(random.Random(71), _non_cyclic_rep, 300)
+    assert seen >= {("order", n) for n in (4, 6, 8)}
 
 
 def _y_major(mask, block, npoints):
@@ -776,7 +847,8 @@ def test_scan_masks_enumerate_no_kernel(monkeypatch):
     def refuse(*args):
         raise AssertionError("kernel enumeration on the scan path")
 
-    monkeypatch.setattr(geometry, "nullspace", refuse)
+    monkeypatch.setattr(geometry, "kernel_rref", refuse)
+    monkeypatch.setattr(linalg, "nullspace", refuse)
     monkeypatch.setattr(geometry, "span_elements", refuse)
     r = make_representation(PrimeField(2), 6, trivial_group(), {})
     assert find_at_witness(r, r, SearchBounds(max_xvars=3)) is None

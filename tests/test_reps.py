@@ -11,21 +11,26 @@ from repgeo import (
     PrimeField,
     check_rep_hom,
     compose_rep_homs,
+    cyclic_group,
+    enumerate_group_homs,
     enumerate_rep_homs,
     faithful_image,
     make_representation,
+    product_group,
     rep_isomorphic,
     rep_kernel,
     stabilizer,
 )
+from repgeo import reps
 from repgeo.config import EnumerationCaps
-from repgeo.groups import normality_witness
-from repgeo.linalg import mat_identity
+from repgeo.groups import _cayley_graph, normality_witness
+from repgeo.linalg import is_invertible, mat_identity, mat_mul
 from repgeo.reps import _rep_homs
 from repgeo.sampling import general_linear_group, random_representation
 
-from naive import naive_rep_homs
+from naive import naive_action_defect, naive_rep_homs
 from test_geometry import _cyclic_power_rep
+from test_groups import _GROUPS, _relabelled
 
 
 def test_r1_action_examples(r1):
@@ -39,6 +44,101 @@ def test_not_an_action(gf2, z2):
     with pytest.raises(NotAnAction) as e:
         make_representation(gf2, 2, z2, {"a": [[0, 1], [1, 1]]})
     assert (e.value.g, e.value.h) == ("a", "a")
+
+
+def _actions_to_perturb():
+    """(group, index-aligned matrices) over GF(3): small groups acting
+    through random homs into GL(2,3), and GL(2,3) itself, relabelled so
+    that it has more than one greedy generator."""
+    rng = random.Random(5)
+    gl, mats = general_linear_group(3, 2)
+    out = []
+    for name in ("Z2", "Z3", "Z4", "Z6", "V4", "Z4xZ2", "S3"):
+        g = _GROUPS[name]
+        homs = [h for h in enumerate_group_homs(g, gl) if len(set(h.image)) > 1]
+        out += [(g, [mats[x] for x in rng.choice(homs).image]) for _ in range(2)]
+    shuffled = _relabelled(gl, 1)
+    assert len(_cayley_graph(shuffled.table)[0]) >= 2
+    out.append((shuffled, [mats[gl.index(n)] for n in shuffled.names]))
+    return out
+
+
+def _perturbed(rng, g, act):
+    """act with one matrix changed, and, when g has several greedy
+    generators, act with every matrix on one left coset of <s_1> multiplied
+    on the left by some Y != I: that keeps act(h) act(s_1) = act(h s_1) for
+    every h, so only a later generator can show the defect."""
+    gens = _cayley_graph(g.table)[0]
+
+    def random_matrix():
+        return tuple(tuple(rng.randrange(3) for _ in range(2)) for _ in range(2))
+
+    out = []
+    for _ in range(8):
+        bad, idx = list(act), rng.randrange(1, g.order)
+        while bad[idx] == act[idx]:
+            bad[idx] = random_matrix()
+        out.append(("one matrix", bad))
+    cycle = [0, gens[0]]
+    while g.table[cycle[-1]][gens[0]]:
+        cycle.append(g.table[cycle[-1]][gens[0]])
+    for _ in range(4 if len(gens) > 1 else 0):
+        r = rng.choice([h for h in range(g.order) if h not in cycle])
+        coset = {g.table[r][c] for c in cycle}
+        y = mat_identity(2)
+        while y == mat_identity(2) or not is_invertible(3, y):
+            y = random_matrix()
+        out.append(("one coset", [mat_mul(3, y, m) if h in coset else m for h, m in enumerate(act)]))
+    return out
+
+
+def test_action_check_names_the_first_failing_pair():
+    # the library checks the action law at the greedy generators and sweeps
+    # every pair only on failure; the oracle sweeps every pair
+    rng = random.Random(7)
+    field = PrimeField(3)
+    seen = set()
+    for g, act in _actions_to_perturb():
+        assert naive_action_defect(g, act, 3) is None
+        make_representation(field, 2, g, dict(enumerate(act)))
+        gens = {g.names[s] for s in _cayley_graph(g.table)[0]}
+        for kind, bad in _perturbed(rng, g, act):
+            expect = naive_action_defect(g, bad, 3)
+            if expect is None:
+                make_representation(field, 2, g, dict(enumerate(bad)))
+                continue
+            with pytest.raises(NotAnAction) as e:
+                make_representation(field, 2, g, dict(enumerate(bad)))
+            assert (e.value.g, e.value.h) == expect
+            seen |= {("named", g.order), kind}
+            seen.add("at a generator" if expect[1] in gens else "off the generators")
+    assert seen >= {("named", n) for n in (2, 3, 4, 6, 8, 48)}
+    assert seen >= {"one matrix", "one coset", "at a generator", "off the generators"}
+
+
+def test_action_check_multiplies_only_at_the_generators(monkeypatch):
+    # Z2^6 acting on GF(3)^8 by diagonal signs: 64 * 6 products, where a
+    # sweep of every pair takes 64^2
+    g = cyclic_group(2, "a1")
+    for i in range(2, 7):
+        g = product_group(g, cyclic_group(2, f"a{i}"))
+    act = {
+        e: tuple(tuple((-1) ** (e >> (5 - i) & 1) if i == j and i < 6 else int(i == j)
+                       for j in range(8)) for i in range(8))
+        for e in range(1, 64)
+    }
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return mat_mul(*args)
+
+    monkeypatch.setattr(reps, "mat_mul", counted)
+    r = make_representation(PrimeField(3), 8, g, act)
+    assert r.act[63] == tuple(tuple(2 * (i == j) if i < 6 else int(i == j) for j in range(8))
+                              for i in range(8))
+    k = len(_cayley_graph(g.table)[0])
+    assert k == 6 and 0 < len(calls) <= g.order * k
 
 
 def test_missing_matrix_rejected(gf2, v4):
