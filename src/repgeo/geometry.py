@@ -5,8 +5,9 @@ The affine space of a representation and a context is the finite set of
 generator assignments, guarded by caps.  Solution sets, closures and
 quasi-identities are decided one y-point at a time by linear algebra over
 GF(p), since module terms are linear in the x-variables.  The bounded
-witness scans build every atom's satisfaction mask for all points at once,
-read each representation's closure operator off its distinct point
+witness scans key each atom by the values its words take on both
+representations, build one satisfaction mask per key for all points at
+once, read each representation's closure operator off its distinct point
 signatures, skip a context outright when both have the same closed sets,
 and re-check each hit through those deciders.
 """
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product
+from operator import getitem, itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
@@ -295,12 +298,15 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 
 
 # ---------------------------------------------------------------------------
-# The bounded scan shared by both witness deciders.  Each atom of the pool
-# becomes one bit mask per representation over its assignment space, built
-# once per context for all points at once and laid out y-major: block j
-# holds |V|^nx bits, one per flat x-vector in x-major order, for the j-th
-# y-point.  Atoms whose masks are equal on both sides share a column, and a
-# point's signature is the set of columns that hold there.  The scan reads
+# The bounded scan shared by both witness deciders.  An atom's mask on a
+# representation is one bit per point of its assignment space, built once
+# per context for all points at once and laid out y-major: block j holds
+# |V|^nx bits, one per flat x-vector in x-major order, for the j-th
+# y-point.  Atoms with the same key (words taking the same values at every
+# y-point of both sides, coefficients equal up to one nonzero scalar) have
+# the same masks, so masks are built only for the first atom of each key.
+# Atoms whose masks are equal on both sides share a column, and a point's
+# signature is the set of columns that hold there.  The scan reads
 # only each side's distinct signatures (the reduced context of formal
 # concept analysis), so any layout gives the same asymmetries: cl_r(P), the
 # columns true at every point of r satisfying the premises P, is the AND of
@@ -315,19 +321,35 @@ def _add_levels(acc: Sequence[int], t: Sequence[int], want: Sequence[int]) -> li
     return [sum([acc[r - b] & t[b] for b in range(len(t))]) for r in want]
 
 
+def _word_values(
+    rep: Representation, points: Sequence[tuple[int, ...]], letters: tuple, memo: dict
+) -> list[int]:
+    """The element the word with these letters takes at each y-point: its
+    one-letter-shorter prefix's values times y_v^(+-1), memoised."""
+    if ("vals", letters) not in memo:
+        vals = [0] * len(points)
+        if letters:
+            v, e = letters[-1]
+            step = 1 if e > 0 else -1
+            prefix = _word_values(rep, points, letters[:-1] + ((v, e - step),) * (e != step), memo)
+            ys = map(itemgetter(v), points)
+            ys = ys if e > 0 else map(rep.group.inverses.__getitem__, ys)
+            vals = list(map(getitem, map(rep.group.table.__getitem__, prefix), ys))
+        memo["vals", letters] = vals
+    return memo["vals", letters]
+
+
 def _word_indicators(
     rep: Representation, points: Sequence[tuple[int, ...]], n: int, w: GroupWord, memo: dict
 ) -> dict[int, int]:
     """For each element g that w takes, the mask with bit j * |V|^nx set
-    for each y-point j at which w takes g."""
+    for each y-point j at which w takes g, from one pass over w's values."""
     ind = memo.get(("word", w.letters))
     if ind is None:
-        vals = [word_value(rep.group, y, w) for y in points]
-        hit, miss = "0" * (rep.p**n - 1) + "1", "0" * rep.p**n
-        ind = memo["word", w.letters] = {
-            g: int("".join(hit if v == g else miss for v in reversed(vals)), 2)
-            for g in set(vals)
-        }
+        ind = memo["word", w.letters] = {}
+        block = rep.p**n
+        for j, g in enumerate(_word_values(rep, points, w.letters, memo)):
+            ind[g] = ind.get(g, 0) | 1 << j * block
     return ind
 
 
@@ -462,6 +484,7 @@ def _scan_asymmetries(
     premise set of any size separates them."""
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
+    p = r.p
     for nx in range(1, bounds.max_xvars + 1):
         for ny in range(1, bounds.max_yvars + 1):
             ctx = scan_context(nx, ny)
@@ -474,11 +497,27 @@ def _scan_asymmetries(
             full_s = (1 << s.p ** (nx * s.dim) * len(points_s)) - 1
             memo_r: dict = {}
             memo_s: dict = {}
+            classes: dict = {}  # (values on r, values on s) -> word class
+            @cache
+            def word_class(letters: tuple) -> int:
+                vals = (tuple(_word_values(r, points_r, letters, memo_r)),
+                        tuple(_word_values(s, points_s, letters, memo_s)))
+                return classes.setdefault(vals, len(classes))
+            col_of: dict = {}  # atom key -> column
             cols: dict[tuple[int, int], int] = {}  # (mask on r, mask on s) -> column
             bits = []  # per atom, its column's bit
             for a in atoms:
-                pair = _atom_sat_mask(r, points_r, a, memo_r), _atom_sat_mask(s, points_s, a, memo_s)
-                bits.append(1 << cols.setdefault(pair, len(cols)))
+                if isinstance(a, GroupAtom):
+                    key = word_class(a.word.letters)
+                else:  # scaled to lead with coefficient 1: c * u vanishes where u does
+                    parts = a.element.parts
+                    inv = pow(parts[0][1].terms[0][1], -1, p)
+                    key = tuple([(i, word_class(w.letters), c * inv % p) for i, ring in parts
+                                 for w, c in ring.terms])
+                if key not in col_of:
+                    pair = _atom_sat_mask(r, points_r, a, memo_r), _atom_sat_mask(s, points_s, a, memo_s)
+                    col_of[key] = cols.setdefault(pair, len(cols))
+                bits.append(1 << col_of[key])
             sigs_r = _signatures([m for m, _ in cols], full_r)
             sigs_s = _signatures([m for _, m in cols], full_s)
             top = (1 << len(cols)) - 1

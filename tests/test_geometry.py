@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -60,7 +60,7 @@ from repgeo.errors import (
     InvalidInput,
     SearchSpaceCapExceeded,
 )
-from repgeo.freemod import atom_key, module_key
+from repgeo.freemod import atom_key, module_key, word_value
 from repgeo.geometry import (
     _atom_sat_mask,
     _same_closed_sets,
@@ -1082,3 +1082,153 @@ def test_scan_matches_naive_premise_loop():
     )
     for flag in flags:
         assert {(flag, True), (flag, False)} <= seen
+
+
+def _is_abelian(g):
+    return all(row[b] == g.table[b][a] for a, row in enumerate(g.table) for b in range(a))
+
+
+def _is_faithful(rep):
+    return rep.act.count(rep.act[0]) == 1
+
+
+def test_keyed_scan_matches_per_atom_masks(monkeypatch):
+    # the scan builds masks once per atom key (word classes over both sides,
+    # coefficients up to a scalar); its output must equal the premise loop
+    # over one mask per atom.  Scalar multiples and words equal on both
+    # sides must merge, and words equal on one side only must not: a key
+    # built from one side's values would merge atoms whose other masks
+    # differ
+    rng = random.Random(83)
+    s3 = make_representation(
+        PrimeField(2), 2, _GROUPS["S3"], dict(enumerate(general_linear_group(2, 2)[1]))
+    )
+    fixed = [(*build_demo_reps(2), 2, 1), (*build_demo_reps(3)[::-1], 1, 2),
+             (s3, build_demo_reps(2)[1], 1, 2), (build_demo_reps(2)[0], s3, 2, 1)]
+    seen = set()
+    for case in range(120):
+        if case < len(fixed):
+            r, s, nx, ny = fixed[case]
+        else:
+            dim_r, dim_s, p, nx, ny = (
+                rng.choice(v) for v in ((1, 2, 3), (1, 2, 3), (2, 3, 5), (1, 2), (1, 2))
+            )
+            order_r = int((1000 / p ** (dim_r * nx)) ** (1 / ny))
+            order_s = int((1000 / p ** (dim_s * nx)) ** (1 / ny))
+            if min(order_r, order_s) < 2:
+                continue
+            draw_r, draw_s = (rng.choice((_cyclic_power_rep, _non_cyclic_rep)) for _ in "rs")
+            r, s = draw_r(rng, dim_r, p, order_r), draw_s(rng, dim_s, p, order_s)
+            if r is None or s is None:
+                continue
+        bounds = SearchBounds(
+            max_xvars=nx, max_yvars=ny, max_terms=rng.choice((1, 2, 3)),
+            max_word_len=rng.choice((1, 2)), max_premises=rng.choice((1, 2)),
+            max_system=rng.choice((1, 2)),
+        )
+        kind = rng.choice(("at", "qid"))
+        if kind == "at":
+            def pool(ctx):
+                return [ModuleAtom(u) for u in bounded_module_elements(ctx, r.field, bounds)]
+            max_premises = bounds.max_system
+        else:
+            def pool(ctx):
+                return bounded_atoms(ctx, r.field, bounds)
+            max_premises = bounds.max_premises
+        if len(pool(scan_context(nx, ny))) > 80:
+            continue
+        calls = []
+
+        def counted(rep, points, a, memo):
+            calls.append(a)
+            return _atom_sat_mask(rep, points, a, memo)
+
+        monkeypatch.setattr(geometry, "_atom_sat_mask", counted)
+        got = list(_scan_asymmetries(r, s, bounds, DEFAULT_CAPS, max_premises, pool))
+        monkeypatch.undo()
+        expect, natoms = [], 0
+        for cx in range(1, nx + 1):
+            for cy in range(1, ny + 1):
+                ctx = scan_context(cx, cy)
+                atoms = pool(ctx)
+                natoms += len(atoms)
+                side = []
+                for rep in (r, s):
+                    points = list(product(range(rep.group.order), repeat=cy))
+                    memo = {}
+                    masks = [_atom_sat_mask(rep, points, a, memo) for a in atoms]
+                    side += [masks, (1 << rep.p ** (cx * rep.dim) * len(points)) - 1]
+                found = naive_scan_asymmetries(*side, max_premises)
+                expect += [
+                    (ctx, tuple(atoms[i] for i in prems), atoms[c], in_r, in_s)
+                    for prems, c, in_r, in_s in found
+                ]
+                elements = {a.element for a in atoms if isinstance(a, ModuleAtom)}
+                seen.add(("scalar multiple", any(
+                    module_scale(c, u) in elements for u in elements for c in range(2, r.p)
+                )))
+                values = {
+                    w: [tuple(word_value(rep.group, y, w)
+                              for y in product(range(rep.group.order), repeat=cy))
+                        for rep in (r, s)]
+                    for w in bounded_words(ctx, bounds.max_word_len)
+                }
+                seen.add(("words equal on one side only", any(
+                    (vr == ur) != (vs == us)
+                    for (vr, vs), (ur, us) in combinations(values.values(), 2)
+                )))
+        assert got == expect
+        assert 0 < len(calls) <= 2 * natoms
+        seen.add(("keys merge atoms", len(calls) < 2 * natoms))
+        seen.add(("asymmetry", bool(got)))
+        seen |= {("p", r.p), ("dim", r.dim), ("dim", s.dim), ("max_terms", bounds.max_terms), kind}
+        for rep in (r, s):
+            seen.add(("abelian", _is_abelian(rep.group)))
+            seen.add(("faithful", _is_faithful(rep)))
+    assert seen >= {("p", 2), ("p", 3), ("p", 5), ("dim", 1), ("dim", 2), ("dim", 3)}
+    assert seen >= {("max_terms", 1), ("max_terms", 2), ("max_terms", 3), "at", "qid"}
+    for flag in ("scalar multiple", "words equal on one side only", "keys merge atoms",
+                 "asymmetry", "abelian", "faithful"):
+        assert {(flag, True), (flag, False)} <= seen
+
+
+@pytest.mark.parametrize("name,seed", [("S3", None), ("GL(2,3)", 5)])
+def test_word_values_extend_prefixes(name, seed):
+    # every bounded word up to length 3, evaluated prefix by prefix from a
+    # cold memo (longest words first), against word_value at every y-point
+    # given; on GL(2,3) with its elements shuffled, at ny = 3 on a sample
+    g = _GROUPS[name] if seed is None else _relabelled(_GROUPS[name], seed)
+    rep = make_representation(PrimeField(2), 1, g, {e: ((1,),) for e in range(1, g.order)})
+    rng = random.Random(89)
+    order_matters = False
+    for ny in (1, 2, 3):
+        ctx = scan_context(1, ny)
+        points = list(product(range(g.order), repeat=ny))
+        points = rng.sample(points, min(len(points), 3000))
+        memo = {}
+        values = {}
+        for w in reversed(bounded_words(ctx, 3)):
+            values[w.letters] = geometry._word_values(rep, points, w.letters, memo)
+            assert values[w.letters] == [word_value(g, y, w) for y in points]
+        if ny > 1:
+            order_matters |= values[(0, 1), (1, 1)] != values[(1, 1), (0, 1)]
+    assert order_matters
+
+
+def test_masks_built_once_per_atom_key(monkeypatch):
+    # the p = 3 demo pair at 2x1 has no witness; one mask per side for the
+    # first atom of each key, where one per atom would be two calls per
+    # pool atom
+    r, s = build_demo_reps(3)
+    bounds = SearchBounds(max_xvars=2)
+    calls = []
+
+    def counted(rep, points, a, memo):
+        calls.append(a)
+        return _atom_sat_mask(rep, points, a, memo)
+
+    monkeypatch.setattr(geometry, "_atom_sat_mask", counted)
+    assert find_at_witness(r, s, bounds) is None
+    natoms = sum(len(bounded_module_elements(scan_context(nx, 1), r.field, bounds))
+                 for nx in (1, 2))
+    assert len(calls) <= natoms
