@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product
-from operator import getitem, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
@@ -43,10 +43,9 @@ from .freemod import (
     word_key,
     word_value,
 )
-from .groups import FiniteGroup, GroupHom, _group_homs, hom_defect
+from .groups import FiniteGroup, _group_homs, hom_defect
 from .linalg import all_vectors, kernel_rref, span_elements, vec_mat, zero_vec
 from .reps import (
-    RepHom,
     Representation,
     _rep_homs,
     check_rep_hom,
@@ -572,87 +571,62 @@ def _split_kernel(g: FiniteGroup, kernel: list[int], image: Sequence[int], label
     return [k for k in kernel if not image[k]], notes
 
 
-def _separate_group(
-    src: FiniteGroup, tgt: FiniteGroup, caps: EnumerationCaps
-) -> SeparationOutcome:
-    kernel = list(range(1, src.order))
-    chosen: list[GroupHom] = []
-    notes: list[str] = []
-    for h in _group_homs(src, tgt, caps):
-        kernel, new = _split_kernel(src, kernel, h.image, f"hom {len(chosen)} separates")
-        if new:
-            chosen.append(h)
-            notes += new
-        if not kernel:
-            break
-    if kernel:
-        return SeparationOutcome(None, "group", (src.names[0], src.names[kernel[0]]))
-    return SeparationOutcome(SeparationCertificate(src, tgt, tuple(chosen), tuple(notes)))
-
-
-def _separate_rep(
-    src: Representation, tgt: Representation, caps: EnumerationCaps
-) -> SeparationOutcome:
-    g = src.group
+def separates_points(source, target, caps: EnumerationCaps = DEFAULT_CAPS) -> SeparationOutcome:
+    """Choose homs from the in-order stream while they cut the joint kernel
+    on the group elements or, for representations, on the vectors; groups
+    have no vector kernel."""
+    if isinstance(source, FiniteGroup) and isinstance(target, FiniteGroup):
+        g, image, pair, basis = source, attrgetter("image"), "", []
+        homs = _group_homs(source, target, caps)
+    elif isinstance(source, Representation) and isinstance(target, Representation):
+        if source.field != target.field:
+            raise FieldMismatch("representations over different fields")
+        g, image, pair = source.group, attrgetter("grouphom.image"), " group pair"
+        basis = kernel_of_matrix_family(source.p, [], source.dim)  # of the joint vector kernel
+        homs = _rep_homs(source, target, caps)
+    else:
+        raise InvalidInput("source and target must both be groups or both representations")
     kernel = list(range(1, g.order))
-    chosen: list[RepHom] = []
+    chosen: list = []
     notes: list[str] = []
-    mats: list = []
-    basis = kernel_of_matrix_family(src.p, mats, src.dim)  # of the joint vector kernel
-    for h in _rep_homs(src, tgt, caps):
-        label = f"hom {len(chosen)}"
-        kernel, new = _split_kernel(g, kernel, h.grouphom.image, f"{label} separates group pair")
-        if any(any(vec_mat(src.p, v, h.matrix)) for v in basis):
-            basis = kernel_of_matrix_family(src.p, mats + [h.matrix], src.dim)
-            new.append(f"{label} cuts joint kernel to dim {len(basis)}")
+    for h in homs:
+        kernel, new = _split_kernel(g, kernel, image(h), f"hom {len(chosen)} separates{pair}")
+        if basis and any(any(vec_mat(source.p, v, h.matrix)) for v in basis):
+            mats = [c.matrix for c in chosen] + [h.matrix]
+            basis = kernel_of_matrix_family(source.p, mats, source.dim)
+            new.append(f"hom {len(chosen)} cuts joint kernel to dim {len(basis)}")
         if new:
             chosen.append(h)
-            mats.append(h.matrix)
             notes += new
         if not kernel and not basis:
             break
     if kernel:
         return SeparationOutcome(None, "group", (g.names[0], g.names[kernel[0]]))
     if basis:
-        return SeparationOutcome(None, "vector", (basis[0], zero_vec(src.dim)))
-    return SeparationOutcome(SeparationCertificate(src, tgt, tuple(chosen), tuple(notes)))
-
-
-def separates_points(source, target, caps: EnumerationCaps = DEFAULT_CAPS) -> SeparationOutcome:
-    if isinstance(source, FiniteGroup) and isinstance(target, FiniteGroup):
-        return _separate_group(source, target, caps)
-    if isinstance(source, Representation) and isinstance(target, Representation):
-        if source.field != target.field:
-            raise FieldMismatch("representations over different fields")
-        return _separate_rep(source, target, caps)
-    raise InvalidInput("source and target must both be groups or both representations")
+        return SeparationOutcome(None, "vector", (basis[0], zero_vec(source.dim)))
+    return SeparationOutcome(SeparationCertificate(source, target, tuple(chosen), tuple(notes)))
 
 
 def validate_separation_certificate(cert: SeparationCertificate) -> bool:
     """Re-check a certificate through the definitional route: validate
     every hom by direct sweep and check injectivity pair by pair (and
     vector by vector), independently of the greedy construction."""
-    if isinstance(cert.source, FiniteGroup):
-        if any(hom_defect(cert.source, cert.target, h.image) is not None for h in cert.homs):
+    src = cert.source
+    if isinstance(src, FiniteGroup):
+        g, images = src, [h.image for h in cert.homs]
+        if any(hom_defect(src, cert.target, h.image) is not None for h in cert.homs):
             return False
-        for i in range(cert.source.order):
-            for j in range(i + 1, cert.source.order):
-                if not any(h.image[i] != h.image[j] for h in cert.homs):
-                    return False
-        return True
-    src: Representation = cert.source
-    for h in cert.homs:
-        if not check_rep_hom(h):
+    else:
+        g, images = src.group, [h.grouphom.image for h in cert.homs]
+        if not all(check_rep_hom(h) for h in cert.homs):
             return False
-    g = src.group
     for i in range(g.order):
         for j in range(i + 1, g.order):
-            if not any(h.grouphom.image[i] != h.grouphom.image[j] for h in cert.homs):
+            if not any(image[i] != image[j] for image in images):
                 return False
-    for v in src.vectors():
-        if any(v) and not any(any(vec_mat(src.p, v, h.matrix)) for h in cert.homs):
-            return False
-    return True
+    return isinstance(src, FiniteGroup) or all(
+        any(any(vec_mat(src.p, v, h.matrix)) for h in cert.homs) for v in src.vectors() if any(v)
+    )
 
 
 # ---------------------------------------------------------------------------

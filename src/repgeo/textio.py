@@ -119,6 +119,18 @@ def _tokenize(text: str, line0: int = 1, col0: int = 1) -> list[_Token]:
     return toks
 
 
+def _integer(text: str, err: ParseError) -> int:
+    """The integer rule of every format: a run of digits that int() reads.
+    Anything else raises err, digits that int() rejects included: "²", or
+    more of them than sys.get_int_max_str_digits()."""
+    if text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise err
+
+
 class _ExprParser:
     def __init__(self, toks: list[_Token], ctx: FreeContext, field: PrimeField):
         self.toks = toks
@@ -144,6 +156,10 @@ class _ExprParser:
 
     def at_end(self) -> bool:
         return self.peek().kind == "eof"
+
+    def integer(self) -> int:
+        t = self.expect("int")
+        return _integer(t.text, ParseError(t.span, "a decimal integer"))
 
     # -- words -------------------------------------------------------------
 
@@ -178,30 +194,32 @@ class _ExprParser:
         self.fail("a word factor")
 
     def exponent(self) -> int:
-        neg = False
-        if self.peek().kind == "-":
+        neg = self.peek().kind == "-"
+        if neg:
             self.take()
-            neg = True
-        t = self.expect("int")
-        e = int(t.text)
+        e = self.integer()
         return -e if neg else e
 
-    # -- ring expressions --------------------------------------------------
+    # -- sums --------------------------------------------------------------
+
+    def signed_sum(self, term, scale, add):
+        """[+|-] term {(+|-) term}, added up."""
+        total = None
+        while total is None or self.peek().kind in ("+", "-"):
+            sign = -1 if self.peek().kind == "-" else 1
+            if self.peek().kind in ("+", "-"):
+                self.take()
+            t = scale(sign, term())
+            total = t if total is None else add(total, t)
+        return total
 
     def ringexpr(self) -> RingElement:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.take().kind == "-" else 1
-        r = ring_scale(sign, self.ringterm())
-        while self.peek().kind in ("+", "-"):
-            sign = -1 if self.take().kind == "-" else 1
-            r = ring_add(r, ring_scale(sign, self.ringterm()))
-        return r
+        return self.signed_sum(self.ringterm, ring_scale, ring_add)
 
     def ringterm(self) -> RingElement:
         c = 1
         if self.peek().kind == "int" and self.toks[self.pos + 1].kind == "*":
-            c = int(self.take().text)
+            c = self.integer()
             self.take()  # "*"
         elif self.peek().kind == "int" and self.peek().text == "0":
             self.take()
@@ -209,17 +227,8 @@ class _ExprParser:
         w = self.word()
         return ring_from_terms(self.ctx, self.field, [(w, c)])
 
-    # -- module expressions ------------------------------------------------
-
     def modexpr(self) -> ModuleElement:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.take().kind == "-" else 1
-        u = module_scale(sign, self.modterm())
-        while self.peek().kind in ("+", "-"):
-            sign = -1 if self.take().kind == "-" else 1
-            u = module_add(u, module_scale(sign, self.modterm()))
-        return u
+        return self.signed_sum(self.modterm, module_scale, module_add)
 
     def modterm(self) -> ModuleElement:
         c = 1
@@ -227,8 +236,7 @@ class _ExprParser:
             if self.peek().text == "0" and self.toks[self.pos + 1].kind != "*":
                 self.take()
                 return module_zero(self.ctx, self.field)
-            t = self.take()
-            c = int(t.text)
+            c = self.integer()
             self.expect("*")
         t = self.peek()
         if t.kind != "ident" or t.text not in self.ctx.xvars:
@@ -250,27 +258,32 @@ class _ExprParser:
 
     # -- atoms and quasi-identities ----------------------------------------
 
-    def atom(self) -> Atom:
+    def module_or_word(self, module_form, word_form):
+        """The module form or, failing that, the word form from the same
+        token; when both fail, the error of the one that read further."""
         start = self.pos
         try:
-            u = self.modexpr()
-            self.expect("=")
-            t = self.expect("int")
-            if t.text != "0":
-                raise ParseError(t.span, '"0"')
-            return ModuleAtom(u)
+            return module_form()
         except ParseError as mod_err:
-            mod_pos = self.pos
-            self.pos = start
+            mod_pos, self.pos = self.pos, start
             try:
-                w = self.word()
-                self.expect("=")
-                t = self.expect("int")
-                if t.text != "1":
-                    raise ParseError(t.span, '"1"')
-                return GroupAtom(w)
+                return word_form()
             except ParseError as word_err:
                 raise word_err if self.pos >= mod_pos else mod_err
+
+    def equals(self, side, rhs: str):
+        v = side()
+        self.expect("=")
+        t = self.expect("int")
+        if t.text != rhs:
+            raise ParseError(t.span, f'"{rhs}"')
+        return v
+
+    def atom(self) -> Atom:
+        return self.module_or_word(
+            lambda: ModuleAtom(self.equals(self.modexpr, "0")),
+            lambda: GroupAtom(self.equals(self.word, "1")),
+        )
 
     def qid(self) -> QuasiIdentity:
         premises: list[Atom] = []
@@ -298,17 +311,8 @@ def parse_word(text: str, ctx: FreeContext) -> GroupWord:
 
 def parse_term(text: str, ctx: FreeContext, field: PrimeField):
     """A module expression or, failing that, a group word."""
-    toks = _tokenize(text)
-    p = _ExprParser(toks, ctx, field)
-    try:
-        return _full(p, p.modexpr)
-    except ParseError as mod_err:
-        mod_pos = p.pos
-        p2 = _ExprParser(toks, ctx, field)
-        try:
-            return _full(p2, p2.word)
-        except ParseError as word_err:
-            raise word_err if p2.pos >= mod_pos else mod_err
+    p = _ExprParser(_tokenize(text), ctx, field)
+    return p.module_or_word(lambda: _full(p, p.modexpr), lambda: _full(p, p.word))
 
 
 def parse_atom(text: str, ctx: FreeContext, field: PrimeField) -> Atom:
@@ -371,6 +375,15 @@ class _LineReader:
         return item
 
 
+def _names_line(reader: _LineReader, keyword: str) -> tuple[int, str, tuple[str, ...]]:
+    """A header line: the keyword followed by at least one name."""
+    lineno, line = reader.require(keyword)
+    parts = line.split()
+    if not parts or parts[0] != keyword or len(parts) < 2:
+        raise _line_error(lineno, line, f'"{keyword}" followed by names')
+    return lineno, line, tuple(parts[1:])
+
+
 def _parse_matrix_literal(lineno: int, line: str, text: str) -> list[list[int]]:
     """``text`` is what follows the first "=" of ``line``."""
     s = text.replace(" ", "")
@@ -382,9 +395,8 @@ def _parse_matrix_literal(lineno: int, line: str, text: str) -> list[list[int]]:
     for chunk in s[2:-2].split("],["):
         row = []
         for ent in chunk.split(","):
-            if not ent or not (ent.lstrip("-").isdigit() and ent.count("-") <= 1 and (not ent.count("-") or ent[0] == "-")):
-                raise err
-            row.append(int(ent))
+            v = _integer(ent.removeprefix("-"), err)
+            row.append(-v if ent.startswith("-") else v)
         rows.append(row)
     return rows
 
@@ -397,9 +409,7 @@ def _parse_cyclic_factor(lineno: int, line: str, spec_text: str, caps: Enumerati
     if ")" not in rest:
         raise _line_error(lineno, line, '")"')
     num, _, tail = rest.partition(")")
-    if not num.strip().isdigit():
-        raise _line_error(lineno, line, "a positive integer order")
-    n = int(num.strip())
+    n = _integer(num.strip(), _line_error(lineno, line, "a positive integer order"))
     if n < 1 or n > caps.max_group_order:
         raise InvalidInput(f"cyclic order {n} outside [1, {caps.max_group_order}]")
     gen = "g"
@@ -435,11 +445,7 @@ def _parse_group_block(reader: _LineReader, caps: EnumerationCaps) -> FiniteGrou
         raise _line_error(lineno, line, '"group"')
     spec_text = stripped[len("group"):].strip()
     if spec_text == "table":
-        lineno2, line2 = reader.require("elements")
-        parts = line2.split()
-        if not parts or parts[0] != "elements" or len(parts) < 2:
-            raise _line_error(lineno2, line2, '"elements" followed by names')
-        names = parts[1:]
+        lineno2, line2, names = _names_line(reader, "elements")
         n = len(names)
         if n > caps.max_group_order:
             raise InvalidInput(f"group order {n} exceeds cap {caps.max_group_order}")
@@ -492,16 +498,13 @@ def parse_rep_file(text: str, caps: EnumerationCaps = DEFAULT_CAPS) -> Represent
     parts = line.split()
     if len(parts) != 2 or parts[0] != "field" or not parts[1].startswith("p="):
         raise _line_error(lineno, line, '"field p=<prime>"')
-    pval = parts[1][2:]
-    if not pval.isdigit():
-        raise _line_error(lineno, line, "a prime modulus")
-    field = PrimeField(int(pval))
+    field = PrimeField(_integer(parts[1][2:], _line_error(lineno, line, "a prime modulus")))
     group = _parse_group_block(reader, caps)
     lineno, line = reader.require("dim")
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != "dim" or not parts[1].isdigit():
-        raise _line_error(lineno, line, '"dim <n>"')
-    dim = int(parts[1])
+    parts, err = line.split(), _line_error(lineno, line, '"dim <n>"')
+    if len(parts) != 2 or parts[0] != "dim":
+        raise err
+    dim = _integer(parts[1], err)
     act: dict[str, list[list[int]]] = {}
     while reader.peek() is not None:
         lineno, line = reader.take()
@@ -525,36 +528,27 @@ def parse_system_file(
     text: str, field: PrimeField, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> tuple[FreeContext, EquationSystem]:
     reader = _LineReader(text)
-    lineno, line = reader.require("xvars")
-    parts = line.split()
-    if not parts or parts[0] != "xvars" or len(parts) < 2:
-        raise _line_error(lineno, line, '"xvars" followed by names')
-    xvars = tuple(parts[1:])
-    lineno, line = reader.require("yvars")
-    parts = line.split()
-    if not parts or parts[0] != "yvars" or len(parts) < 2:
-        raise _line_error(lineno, line, '"yvars" followed by names')
-    yvars = tuple(parts[1:])
-    ctx = FreeContext(xvars, yvars)
+    xvars = _names_line(reader, "xvars")[2]
+    ctx = FreeContext(xvars, _names_line(reader, "yvars")[2])
     module_part: list[ModuleElement] = []
     group_part: list[GroupWord] = []
     while reader.peek() is not None:
         lineno, line = reader.take()
         stripped = line.strip()
-        if stripped.startswith("module:"):
-            body = stripped[len("module:"):]
-            a = parse_atom(body, ctx, field)
+        head, colon, body = stripped.partition(":")
+        if not colon or head not in ("module", "group"):
+            raise _line_error(lineno, line, '"module:" or "group:"')
+        # spans count the indentation and the "module:"/"group:" prefix
+        p = _ExprParser(_tokenize(body, lineno, len(line) - len(stripped) + len(head) + 2), ctx, field)
+        a = _full(p, p.atom)
+        if head == "module":
             if not isinstance(a, ModuleAtom):
                 raise _line_error(lineno, line, "a module equation u = 0")
             module_part.append(a.element)
-        elif stripped.startswith("group:"):
-            body = stripped[len("group:"):]
-            a = parse_atom(body, ctx, field)
+        else:
             if not isinstance(a, GroupAtom):
                 raise _line_error(lineno, line, "a group equation w = 1")
             group_part.append(a.word)
-        else:
-            raise _line_error(lineno, line, '"module:" or "group:"')
     return ctx, equation_system(ctx, module_part, group_part)
 
 
@@ -572,57 +566,37 @@ def serialize_word(w: GroupWord) -> str:
     return "*".join(parts)
 
 
-def _signed(p: int, c: int) -> int:
+def _signed_piece(p: int, c: int, body: str) -> tuple[bool, str]:
+    """c * body with c taken in (-p/2, p/2]: (negative, "|c|*body")."""
     c %= p
-    return c if c <= p // 2 else c - p
+    neg = c > p // 2
+    mag = p - c if neg else c
+    return neg, body if mag == 1 else f"{mag}*{body}"
+
+
+def _join_signed(pieces: list[tuple[bool, str]]) -> str:
+    """"a - b + c" from (negative, body) pairs, or "0" when there are none."""
+    if not pieces:
+        return "0"
+    text = " ".join(("- " if neg else "+ ") + body for neg, body in pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def serialize_ring(r: RingElement) -> str:
-    if r.is_zero():
-        return "0"
-    p = r.field.p
-    pieces = []
-    for i, (w, c) in enumerate(r.terms):
-        s = _signed(p, c)
-        mag, neg = abs(s), s < 0
-        if w.is_identity():
-            body = "1" if mag == 1 else f"{mag}*1"
-        elif mag == 1:
-            body = serialize_word(w)
-        else:
-            body = f"{mag}*{serialize_word(w)}"
-        if i == 0:
-            pieces.append(("-" if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    return _join_signed([_signed_piece(r.field.p, c, serialize_word(w)) for w, c in r.terms])
 
 
 def serialize_module(u: ModuleElement) -> str:
-    if u.is_zero():
-        return "0"
-    p = u.field.p
     pieces = []
-    first = True
     for x, r in u.parts:
         xname = u.context.xvars[x]
         if r.num_terms() == 1:
             (w, c), = r.terms
-            s = _signed(p, c)
-            mag, neg = abs(s), s < 0
-            body = xname if mag == 1 else f"{mag}*{xname}"
-            if not w.is_identity():
-                body += f"*{serialize_word(w)}"
-            sign = neg
+            neg, body = _signed_piece(u.field.p, c, xname)
+            pieces.append((neg, body if w.is_identity() else f"{body}*{serialize_word(w)}"))
         else:
-            body = f"{xname}*({serialize_ring(r)})"
-            sign = False
-        if first:
-            pieces.append(("-" if sign else "") + body)
-            first = False
-        else:
-            pieces.append(("- " if sign else "+ ") + body)
-    return " ".join(pieces)
+            pieces.append((False, f"{xname}*({serialize_ring(r)})"))
+    return _join_signed(pieces)
 
 
 def serialize_atom(a: Atom) -> str:

@@ -216,7 +216,7 @@ def test_acceptance_7_roundtrip_and_fuzz(report):
                 [cyclic_group(rng.randint(1, 5), "a"), trivial_group()]
             )
             ok = ok and parse_group_file(serialize(g)) == g
-    alphabet = "xy*^+-()=>& 0123456789#\nfield groupactdimrow[]=,.qz\t"
+    alphabet = "xy*^+-()=>& 0123456789#\nfield groupactdimrow[]=,.qz\t²١é "
     crashes = 0
     parsers = [
         lambda s: parse_qid(s, CTX, fields[0]),

@@ -201,6 +201,13 @@ def test_parse_error_exit_3(files, capsys, tmp_path):
     assert "span" in doc
 
 
+def test_unreadable_integer_literal_exit_3(files, capsys):
+    # "²" passes str.isdigit but not int(): an input error, not a crash
+    code, doc = _json_run(capsys, ["qid", files["r1.rep"], "x*y^² = 0 => y = 1"])
+    assert code == 3 and doc["outcome"] == "error"
+    assert doc["span"] == {"line": 1, "column": 5, "length": 1}
+
+
 def test_missing_file_exit_3(capsys):
     code, doc = _json_run(capsys, ["qid", "/nonexistent.rep", "y = 1"])
     assert code == 3

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
@@ -61,6 +62,7 @@ from repgeo.errors import (
     SearchSpaceCapExceeded,
 )
 from repgeo.freemod import atom_key, module_key, word_value
+from repgeo.groups import GroupHom, hom_defect
 from repgeo.geometry import (
     _atom_sat_mask,
     _same_closed_sets,
@@ -69,7 +71,7 @@ from repgeo.geometry import (
     scan_context,
 )
 from repgeo.linalg import is_invertible, mat_identity, mat_mul, rref
-from repgeo.reps import Representation
+from repgeo.reps import RepHom, Representation, check_rep_hom
 from repgeo.sampling import general_linear_group, random_qid, random_representation
 from repgeo.textio import infer_context, parse_qid
 
@@ -400,6 +402,29 @@ def test_separates_rep_identity(r1):
     cert = out.certificate
     assert cert is not None
     assert validate_separation_certificate(cert)
+
+
+def test_validate_separation_certificate_rejects_broken_certificates(v4, z2, r1):
+    cert = separates_points(v4, z2).certificate
+    # a hom dropped: some pair of V4 is joined by every hom left
+    for k in range(len(cert.homs)):
+        dropped = replace(cert, homs=cert.homs[:k] + cert.homs[k + 1 :])
+        assert not validate_separation_certificate(dropped)
+    # an image table that is not a hom, beside homs that separate every pair
+    bad = GroupHom(v4, z2, (0, 1, 1, 1))
+    assert hom_defect(v4, z2, bad.image) is not None
+    assert not validate_separation_certificate(replace(cert, homs=cert.homs + (bad,)))
+    # r1 swaps the basis of GF(2)^2.  Hom 0 (trivial beta) has kernel
+    # <(1,1)>, hom 1 separates the group pair and hom 2 cuts the kernel to 0
+    rcert = separates_points(r1, r1).certificate
+    assert validate_separation_certificate(rcert) and len(rcert.homs) == 3
+    swap = rcert.homs[2]
+    projection = RepHom(r1, r1, ((1, 0), (0, 0)), swap.grouphom)
+    assert not check_rep_hom(projection)
+    assert not validate_separation_certificate(replace(rcert, homs=rcert.homs[:2] + (projection,)))
+    # every hom valid and the group pair separated, but (1,1) is in the kernel
+    assert all(check_rep_hom(h) for h in rcert.homs[:2])
+    assert not validate_separation_certificate(replace(rcert, homs=rcert.homs[:2]))
 
 
 def _separation_zoo():

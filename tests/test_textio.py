@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -90,6 +91,68 @@ def test_parse_error_has_span():
     with pytest.raises(ParseError) as e:
         parse_qid("x*y - = 0 => y = 1", CTX, GF2)
     assert e.value.span is not None and e.value.span.line == 1
+
+
+def test_unreadable_integer_literal_is_a_parse_error():
+    # "²" is a digit to str.isdigit but not to int(), at every site that
+    # reads an integer.  The expression grammar points at the literal
+    for text, column in [
+        ("x*y^² = 0 => y = 1", 5),
+        ("²*x = 0 => y = 1", 1),
+        ("x*(y + ²*y) = 0 => y = 1", 8),
+        ("=> y^-١٢² = 1", 7),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_qid(text, CTX, GF2)
+        assert (e.value.span.line, e.value.span.column) == (1, column), text
+    # the file formats report it where that line's other bad numbers go
+    head = "field p=2\ngroup cyclic(2) as a\n"
+    for text, line in [
+        ("field p=²\ngroup cyclic(2) as a\ndim 1\n", 1),
+        ("field p=2\ngroup product(cyclic(2) as a, cyclic(²) as b)\ndim 1\n", 2),
+        (head + "dim ²\n", 3),
+        (head + "dim 1\nact a = [[²]]\n", 4),
+        (head + "dim 1\nact a = [[-²]]\n", 4),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_rep_file(text)
+        assert e.value.span.line == line, text
+    with pytest.raises(ParseError):
+        parse_group_file("group cyclic(²)\n")
+
+
+@pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+    reason="int() reads a 5,000-digit literal here",
+)
+def test_literal_longer_than_int_reads_is_a_parse_error():
+    digits = "7" * 5000
+    with pytest.raises(ParseError) as e:
+        parse_word(f"y^{digits}", CTX)
+    assert (e.value.span.column, e.value.span.length) == (3, 5000)
+    with pytest.raises(ParseError) as e:
+        parse_rep_file(f"field p=2\ngroup cyclic(2) as a\ndim {digits}\n")
+    assert e.value.span.line == 3
+
+
+def test_system_file_error_spans_are_file_positions():
+    # spans count the line, the indentation and the "module:"/"group:" prefix
+    head = "xvars x\nyvars y\n"
+    for body, line, column in [
+        ("module: x*y - = 0\n", 3, 15),
+        ("group: y = 1\n  module: x*y^ = 0\n", 4, 16),
+        ("\tgroup:y*(y = 1\n", 3, 13),
+        ("module: x*y^² = 0 # note\n", 3, 13),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_system_file(head + body, GF2)
+        assert (e.value.span.line, e.value.span.column) == (line, column), body
+        assert str(e.value).startswith(f"{line}:{column}:")
+    from repgeo.errors import UnknownVariable
+
+    with pytest.raises(UnknownVariable) as e:
+        parse_system_file(head + "\n  group: q = 1\n", GF2)
+    assert (e.value.span.line, e.value.span.column) == (4, 10)
 
 
 def test_unknown_variable():
@@ -216,7 +279,7 @@ def test_fuzz_expression_parser_no_crash():
     from repgeo.errors import RepGeoError
 
     rng = random.Random(99)
-    alphabet = "xy*^+-()=>& 0123456789#\n\t qz["
+    alphabet = "xy*^+-()=>& 0123456789#\n\t qz[²١é "
     for _ in range(3000):
         s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 25)))
         try:
