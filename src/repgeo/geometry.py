@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache, partial
 from itertools import combinations, product
-from operator import attrgetter, getitem, itemgetter
+from operator import attrgetter, getitem, itemgetter, mul
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
@@ -93,15 +93,20 @@ def _assignment(rep: Representation, x: Sequence[int], y: tuple[int, ...]) -> As
 
 def _terms_at(
     rep: Representation, y: tuple[int, ...], u: ModuleElement
-) -> list[tuple[int, int, int]]:
+) -> tuple[tuple[int, int, int], ...]:
     """u at the y-point y as (x index, coeff, group element) triples, one
     per term; M_u(y) depends on nothing else."""
-    return [(i, c, word_value(rep.group, y, w)) for i, r in u.parts for w, c in r.terms]
+    return tuple([(i, c, word_value(rep.group, y, w)) for i, r in u.parts for w, c in r.terms])
+
+
+# Entries in each memo of one decider call: its memory does not grow with
+# the space, and y-points with equal triples or equal systems share work.
+_MEMO_SIZE = 4096
 
 
 def _columns(
-    rep: Representation, triples: Sequence[tuple[int, int, int]], n: int
-) -> list[list[int]]:
+    rep: Representation, n: int, triples: tuple[tuple[int, int, int], ...]
+) -> tuple[tuple[int, ...], ...]:
     """The columns of M_u(y), each of length n = nx*dim, from u's triples
     at y.  u vanishes at (x, y) exactly when x is orthogonal to every
     column."""
@@ -111,7 +116,7 @@ def _columns(
         for k, row in enumerate(rep.act[g]):
             for j, a in enumerate(row):
                 cols[j][i * dim + k] += c * a
-    return [[a % p for a in col] for col in cols]
+    return tuple(tuple([a % p for a in col]) for col in cols)
 
 
 def _solution_spaces(
@@ -120,15 +125,16 @@ def _solution_spaces(
     """(y, S_y) for each y-point, in order, at which the group premises
     hold: S_y is the subspace of flat x-vectors solving the module
     premises, as its unique basis in reduced row echelon form, which
-    ``kernel_rref`` finds with one elimination per y-point."""
+    ``kernel_rref`` finds with one elimination per distinct system."""
     n = len(ctx.xvars) * rep.dim
     words = [a.word for a in premises if isinstance(a, GroupAtom)]
     elems = [a.element for a in premises if isinstance(a, ModuleAtom)]
+    columns = lru_cache(_MEMO_SIZE)(partial(_columns, rep, n))
+    kernel = lru_cache(_MEMO_SIZE)(lambda rows: kernel_rref(rep.p, rows, n))
     for y in product(range(rep.group.order), repeat=len(ctx.yvars)):
         if any(word_value(rep.group, y, w) for w in words):
             continue
-        rows = [col for u in elems for col in _columns(rep, _terms_at(rep, y, u), n)]
-        yield y, kernel_rref(rep.p, rows, n)
+        yield y, kernel(tuple(col for u in elems for col in columns(_terms_at(rep, y, u))))
 
 
 def _least_violation(
@@ -148,6 +154,7 @@ def _least_violation(
     """
     _check_inputs(rep, ctx, (*premises, conclusion), caps)
     p, n = rep.p, len(ctx.xvars) * rep.dim
+    columns = lru_cache(_MEMO_SIZE)(partial(_columns, rep, n))
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     for y, basis in _solution_spaces(rep, ctx, premises):
         if isinstance(conclusion, GroupAtom):
@@ -155,9 +162,9 @@ def _least_violation(
                 best = ((0,) * n, y)
                 break  # nothing precedes x = 0 at the first such y
             continue
-        cols = _columns(rep, _terms_at(rep, y, conclusion.element), n)
+        cols = columns(_terms_at(rep, y, conclusion.element))
         for b in reversed(basis):
-            if any(sum(s * t for s, t in zip(b, col)) % p for col in cols):
+            if any(sum(map(mul, b, col)) % p for col in cols):
                 if best is None or b < best[0]:
                     best = (b, y)
                 break

@@ -105,27 +105,53 @@ def rank(p: int, rows: Sequence[Sequence[int]]) -> int:
     return len(rref(p, rows)[1])
 
 
-def nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
-    """Basis of {x : M x = 0} for the equation rows M (length-ncols each)."""
-    if not rows:
-        return [tuple(1 if i == j else 0 for j in range(ncols)) for i in range(ncols)]
-    red, pivots = rref(p, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _kernel_basis(p: int, red: list[list[int]], pivots: list[int], ncols: int) -> list[Vector]:
+    """The kernel of reduced rows with the given pivot columns: one vector per
+    free column, 1 there, 0 at the other free columns, in column order."""
+    bound = set(pivots)
     basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-red[r][fc]) % p
-        basis.append(tuple(v))
+    for fc in range(ncols):
+        if fc not in bound:
+            v = [0] * ncols
+            v[fc] = 1
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc] % p
+            basis.append(tuple(v))
     return basis
 
 
+def nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
+    """Basis of {x : M x = 0} for the equation rows M (length-ncols each)."""
+    return _kernel_basis(p, *rref(p, rows), ncols)
+
+
 def kernel_rref(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
-    """The RREF basis of {x : M x = 0} from one elimination: on reversed columns
-    each kernel vector leads with its free column's 1, 0 at the other free ones."""
-    return [v[::-1] for v in reversed(nullspace(p, [r[::-1] for r in rows], ncols))]
+    """The RREF basis of {x : M x = 0} from one elimination that takes its
+    pivots from the last column leftwards, so that each pivot row is 0 right
+    of its pivot and each kernel vector leads with its free column's 1."""
+    m = [[a % p for a in r] for r in rows]
+    pivots: list[int] = []
+    for c in range(ncols - 1, -1, -1):
+        r = len(pivots)
+        for piv in range(r, len(m)):
+            if m[piv][c]:
+                break
+        else:
+            continue
+        row = m[piv]
+        if row[c] != 1:
+            inv = pow(row[c], p - 2, p)
+            row = [(a * inv) % p for a in row]
+        m[piv] = m[r]
+        m[r] = row
+        for i, other in enumerate(m):
+            f = other[c]
+            if f and i != r:
+                m[i] = [(a - f * b) % p for a, b in zip(other, row)]
+        pivots.append(c)
+        if r + 1 == len(m):
+            break
+    return _kernel_basis(p, m, pivots, ncols)
 
 
 def is_invertible(p: int, a: Matrix) -> bool:

@@ -8,6 +8,7 @@ parse(serialize(v)) == v structurally.  Every parse error carries a
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from math import prod
@@ -375,13 +376,19 @@ class _LineReader:
         return item
 
 
-def _names_line(reader: _LineReader, keyword: str) -> tuple[int, str, tuple[str, ...]]:
-    """A header line: the keyword followed by at least one name."""
+def _names_line(
+    reader: _LineReader, keyword: str, variables: bool = True
+) -> tuple[int, str, tuple[str, ...]]:
+    """A header line: the keyword followed by at least one name.  Variable
+    names must be identifiers (``str.isidentifier``)."""
     lineno, line = reader.require(keyword)
-    parts = line.split()
-    if not parts or parts[0] != keyword or len(parts) < 2:
+    parts = list(re.finditer(r"\S+", line))
+    if len(parts) < 2 or parts[0][0] != keyword:
         raise _line_error(lineno, line, f'"{keyword}" followed by names')
-    return lineno, line, tuple(parts[1:])
+    bad = next((m for m in parts[1:] if not m[0].isidentifier()), None)
+    if variables and bad:
+        raise ParseError(SourceSpan(lineno, bad.start() + 1, len(bad[0])), "a variable name")
+    return lineno, line, tuple(m[0] for m in parts[1:])
 
 
 def _parse_matrix_literal(lineno: int, line: str, text: str) -> list[list[int]]:
@@ -445,7 +452,7 @@ def _parse_group_block(reader: _LineReader, caps: EnumerationCaps) -> FiniteGrou
         raise _line_error(lineno, line, '"group"')
     spec_text = stripped[len("group"):].strip()
     if spec_text == "table":
-        lineno2, line2, names = _names_line(reader, "elements")
+        lineno2, line2, names = _names_line(reader, "elements", variables=False)
         n = len(names)
         if n > caps.max_group_order:
             raise InvalidInput(f"group order {n} exceeds cap {caps.max_group_order}")

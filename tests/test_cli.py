@@ -208,6 +208,15 @@ def test_unreadable_integer_literal_exit_3(files, capsys):
     assert doc["span"] == {"line": 1, "column": 5, "length": 1}
 
 
+def test_non_identifier_variable_name_exit_3(tmp_path, files, capsys):
+    path = tmp_path / "bad.sys"
+    path.write_text("xvars x\nyvars y q*r\nmodule: x*y - x = 0\n")
+    args = ["closure", files["r1.rep"], "--system", str(path), "--member", "x = 0"]
+    code, doc = _json_run(capsys, args)
+    assert code == 3 and doc["outcome"] == "error"
+    assert doc["span"] == {"line": 2, "column": 9, "length": 3}
+
+
 def test_missing_file_exit_3(capsys):
     code, doc = _json_run(capsys, ["qid", "/nonexistent.rep", "y = 1"])
     assert code == 3

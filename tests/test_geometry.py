@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -722,6 +723,63 @@ def _check_deciders(rng, draw_rep, rounds):
 
 def test_deciders_match_brute_force_oracle():
     _check_deciders(random.Random(61), _cyclic_power_rep, 400)
+
+
+def test_deciders_match_oracle_with_memos_evicting(monkeypatch):
+    # two entries per memo: nearly every decider call evicts, so a stale or
+    # mismatched entry would show as a wrong witness or solution
+    monkeypatch.setattr(geometry, "_MEMO_SIZE", 2)
+    _check_deciders(random.Random(62), _cyclic_power_rep, 400)
+
+
+def _diag_z4sq_rep():
+    """Z4 x Z4 acting on GF(5)^2 by diag(2,1) and diag(1,2)."""
+    g = product_group(cyclic_group(4, "a"), cyclic_group(4, "b"))
+    act = {i * 4 + j: ((pow(2, i, 5), 0), (0, pow(2, j, 5))) for i in range(4) for j in range(4)}
+    return make_representation(PrimeField(5), 2, g, act)
+
+
+def test_decider_solves_each_distinct_system_once(monkeypatch):
+    # the premise's matrix at (y1, y2) is act(y1) - act(y2), a diagonal
+    # matrix whose two entries take 5 values each: 25 systems over the 256
+    # y-points, each eliminated once in the call
+    calls = []
+
+    def counted(p, rows, n):
+        calls.append(rows)
+        return linalg.kernel_rref(p, rows, n)
+
+    monkeypatch.setattr(geometry, "kernel_rref", counted)
+    rep = _diag_z4sq_rep()
+    formula = "x2*y1 - x2*y2 = 0 => x1*y1 - x1*y2 = 0"
+    ctx = infer_context(formula)
+    q = parse_qid(formula, ctx, rep.field)
+    ok, wit = fulfills_qid(rep, q)
+    assert len(calls) == len(set(calls)) == 25
+    trees = [canonical_to_atom_tree(ctx, a) for a in (*q.premises, q.conclusion)]
+    expect = naive_least_violation(rep, ctx.xvars, ctx.yvars, trees[:-1], trees[-1])
+    assert not ok and (wit.xmap, wit.ymap) == expect
+
+
+def test_decider_memory_does_not_grow_with_the_space(monkeypatch):
+    # Z32 acting on GF(2)^2 through parity: each of the 1,024 y-points gives
+    # the premise its own term triples, 64 times the patched bound; kept
+    # unbounded, the memo alone would hold about 230 kB here
+    swap, ident = ((0, 1), (1, 0)), ((1, 0), (0, 1))
+    act = {i: swap if i % 2 else ident for i in range(32)}
+    rep = make_representation(PrimeField(2), 2, cyclic_group(32, "a"), act)
+    formula = "x*y1 + x*y2 = 0 => x*y1*y2 = 0"
+    q = parse_qid(formula, infer_context(formula), rep.field)
+    expect = fulfills_qid(rep, q)
+    monkeypatch.setattr(geometry, "_MEMO_SIZE", 16)
+    tracemalloc.start()
+    try:
+        got = fulfills_qid(rep, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expect
+    assert peak < 100_000
 
 
 @lru_cache(maxsize=None)

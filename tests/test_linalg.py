@@ -4,15 +4,18 @@ from repgeo.linalg import kernel_rref, nullspace, rank, rref, span_elements
 
 
 def test_kernel_rref_is_the_rref_of_the_kernel():
-    # one elimination on reversed columns against eliminating twice; the
-    # span of the basis must come out in lexicographic order
+    # one elimination from the last column leftwards against eliminating
+    # twice; the span of the basis must come out in lexicographic order.
+    # Up to 9 columns: three x-variables on GF(2)^3
     rng = random.Random(83)
     seen = set()
-    for _ in range(3000):
-        p, n = rng.choice((2, 3, 5, 7)), rng.randint(0, 7)
+    for _ in range(4000):
+        p, n = rng.choice((2, 3, 5, 7)), rng.randint(0, 9)
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(0, n + 2))]
         if rows and rng.random() < 0.2:
             rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+        if rows and rng.random() < 0.2:
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
         basis = kernel_rref(p, rows, n)
         assert basis == [tuple(v) for v in rref(p, nullspace(p, rows, n))[0]]
         if p ** len(basis) <= 2401:
@@ -21,7 +24,8 @@ def test_kernel_rref_is_the_rref_of_the_kernel():
         seen |= {("p", p), ("n", n)}
         seen.add(("no rows", not rows))
         seen.add(("zero row", any(not any(r) for r in rows)))
+        seen.add(("repeated row", len({tuple(r) for r in rows}) < len(rows)))
         seen.add(("full rank", bool(rows) and rank(p, rows) == n))
-    assert seen >= {("p", p) for p in (2, 3, 5, 7)} | {("n", n) for n in range(8)}
-    for flag in ("no rows", "zero row", "full rank"):
+    assert seen >= {("p", p) for p in (2, 3, 5, 7)} | {("n", n) for n in range(10)}
+    for flag in ("no rows", "zero row", "repeated row", "full rank"):
         assert {(flag, True), (flag, False)} <= seen

@@ -14,6 +14,7 @@ from repgeo import (
     PrimeField,
     QuasiIdentity,
     SearchBounds,
+    SourceSpan,
     bounded_atoms,
     bounded_module_elements,
     bounded_words,
@@ -153,6 +154,27 @@ def test_system_file_error_spans_are_file_positions():
     with pytest.raises(UnknownVariable) as e:
         parse_system_file(head + "\n  group: q = 1\n", GF2)
     assert (e.value.span.line, e.value.span.column) == (4, 10)
+
+
+def test_system_file_variable_names_are_identifiers():
+    # a name the expression grammar cannot read as one variable is an
+    # error at its own column; element names of group files stay free
+    head = "xvars x\n"
+    for header, column, length in [
+        ("yvars y +z\n", 9, 2),
+        ("yvars y q*r\n", 9, 3),
+        ("  yvars ab1 1\n", 13, 1),
+    ]:
+        with pytest.raises(ParseError) as e:
+            parse_system_file(head + header + "group: y = 1\n", GF2)
+        assert e.value.span == SourceSpan(2, column, length), header
+        assert e.value.expected == "a variable name"
+    with pytest.raises(ParseError) as e:
+        parse_system_file("xvars x 2x\nyvars y\n", GF2)
+    assert e.value.span == SourceSpan(1, 9, 2)
+    g = parse_group_file("group table\nelements 1 g^2 a·b\nrow 1 g^2 a·b\n"
+                         "row g^2 a·b 1\nrow a·b 1 g^2\n")
+    assert g.names == ("1", "g^2", "a·b")
 
 
 def test_unknown_variable():
