@@ -3,18 +3,19 @@
 Rebuilds the published two-representation construction (a swap action of
 Z2 and of Z2 x Z2 on a 2-dimensional space) and checks each of its six
 claims against the deciders, attaching re-checkable certificates or
-witnesses.  A claim status is CONFIRMED when the tool agrees with the
-asserted value and CONTRADICTED when it does not; the asserted values
-are hard-coded so a decider regression flips a status.
+witnesses.  Each decider runs once, and each claim is one row: the
+asserted value, the computed value and the evidence.  A claim status is
+CONFIRMED when the tool agrees with the asserted value and CONTRADICTED
+when it does not; the asserted values are hard-coded so a decider
+regression flips a status.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
 from .errors import InvalidInput
-from .freemod import Assignment, FreeContext, eval_atom
+from .freemod import Assignment, FreeContext, QuasiIdentity, eval_atom
 from .geometry import (
     Equivalent,
     at_equivalent,
@@ -63,8 +64,16 @@ class AuditReport:
     commentary: str
 
 
-def _status(asserted_value, computed_value) -> str:
-    return "CONFIRMED" if asserted_value == computed_value else "CONTRADICTED"
+_EQUIVALENT = ("not equivalent", "equivalent")
+_FULFILLED = ("not fulfilled", "fulfilled")
+
+_COMMENTARY = (
+    "A repaired reading under which the contradicted steps go through: "
+    "quantify implication premises over every vector of the space rather "
+    "than over chosen generator images.  That reading is reported here as "
+    "commentary only; the deciders implement the stated point-wise "
+    "semantics."
+)
 
 
 def _asg_evidence(asg: Assignment) -> dict:
@@ -74,167 +83,81 @@ def _asg_evidence(asg: Assignment) -> dict:
     }
 
 
-def paper_demo(
-    p: int = 2,
-    bounds: SearchBounds = DEFAULT_BOUNDS,
-    caps: EnumerationCaps = DEFAULT_CAPS,
-) -> AuditReport:
-    r1, r2 = build_demo_reps(p)
-    field = r1.field
-    claims: list[Claim] = []
+def _geo_evidence(verdict) -> dict:
+    """Hom counts of an equivalence certificate and whether both of its
+    halves re-validate; empty for any other verdict."""
+    if not isinstance(verdict, Equivalent):
+        return {}
+    fwd, bwd = verdict.certificate.forward, verdict.certificate.backward
+    return {
+        "forward_homs": len(fwd.homs),
+        "backward_homs": len(bwd.homs),
+        "revalidated": validate_separation_certificate(fwd)
+        and validate_separation_certificate(bwd),
+    }
 
-    # C1: kernel of the order-4 action is the two-element subgroup
-    # generated by b, and the faithful image is isomorphic to the
-    # order-2 representation.
+
+def _violation(rep: Representation, qid: QuasiIdentity, x: tuple, y: str) -> dict:
+    """The hand-picked assignment x -> ``x``, y -> ``y`` and whether it
+    re-checks, atom by atom, as satisfying the premises but not the conclusion."""
+    asg = Assignment(rep, (x,), (rep.group.index(y),))
+    verified = all(eval_atom(asg, a) for a in qid.premises) and not eval_atom(asg, qid.conclusion)
+    return {"witness": _asg_evidence(asg), "witness_verified": verified}
+
+
+def paper_demo(p: int = 2) -> AuditReport:
+    r1, r2 = build_demo_reps(p)
     ker = rep_kernel(r2)
     fi = faithful_image(r2)
-    iso = rep_isomorphic(fi.quotient, r1, caps)
-    c1_ok = ker.names() == ("1", "b") and iso is not None
-    claims.append(
-        Claim(
-            "C1",
-            "construction: kernel and faithful image of the order-4 action",
-            "kernel = {1, b}; faithful image isomorphic to the order-2 representation",
-            "agrees" if c1_ok else "disagrees",
-            _status(True, c1_ok),
-            {
-                "kernel": list(ker.names()),
-                "isomorphism": None
-                if iso is None
-                else {
-                    "matrix": [list(r) for r in iso.matrix],
-                    "group_map": [
-                        r1.group.names[iso.grouphom.image[i]]
-                        for i in range(fi.quotient.group.order)
-                    ],
-                },
-            },
-        )
-    )
+    iso = rep_isomorphic(fi.quotient, r1)
+    groups = geo_equivalent(r1.group, r2.group)
+    at = at_equivalent(r1, r2)
+    at_scan = find_at_witness(r1, r2)
+    # the implication (x.y - x = 0) => (y = 1)
+    qid = paper_witness_qid(FreeContext(("x",), ("y",)), r1.field)
+    ok1, _ = fulfills_qid(r1, qid)
+    ok2, _ = fulfills_qid(r2, qid)
+    reps = geo_equivalent(r1, r2)
 
-    # C2: the two acting groups are geometrically equivalent.
-    vg = geo_equivalent(r1.group, r2.group, caps)
-    c2_eq = isinstance(vg, Equivalent)
-    ev2 = {}
-    if c2_eq:
-        ev2 = {
-            "forward_homs": len(vg.certificate.forward.homs),
-            "backward_homs": len(vg.certificate.backward.homs),
-            "revalidated": validate_separation_certificate(vg.certificate.forward)
-            and validate_separation_certificate(vg.certificate.backward),
-        }
-    claims.append(
-        Claim(
-            "C2",
-            "construction: mutual group embeddings into Cartesian powers",
-            "groups equivalent",
-            "equivalent" if c2_eq else "not equivalent",
-            _status(True, c2_eq),
-            ev2,
-        )
+    iso_evidence = None
+    if iso is not None:
+        group_map = [r1.group.names[iso.grouphom.image[i]] for i in range(fi.quotient.group.order)]
+        iso_evidence = {"matrix": [list(r) for r in iso.matrix], "group_map": group_map}
+    # C4: the discussion-relevant witness is the swap-fixed all-ones vector
+    c4_evidence = {} if ok1 else {
+        **_violation(r1, qid, (1,) * r1.dim, "a"),
+        "note": "exhaustive enumeration of all assignments refutes the "
+        "kernel-based argument: the all-ones vector is fixed by the swap",
+    }
+    at_eq = isinstance(at, Equivalent)
+    # one row per claim: id, location, asserted text, asserted value,
+    # computed value, the computed value's words (false, true), evidence
+    rows = [
+        ("C1", "construction: kernel and faithful image of the order-4 action",
+         "kernel = {1, b}; faithful image isomorphic to the order-2 representation",
+         True, ker.names() == ("1", "b") and iso is not None, ("disagrees", "agrees"),
+         {"kernel": list(ker.names()), "isomorphism": iso_evidence}),
+        ("C2", "construction: mutual group embeddings into Cartesian powers",
+         "groups equivalent", True, isinstance(groups, Equivalent), _EQUIVALENT,
+         _geo_evidence(groups)),
+        ("C3", "construction: action-type equivalence via the faithful image",
+         "action-type equivalent", True, at_eq, _EQUIVALENT,
+         {"chain": "R1 ~at its faithful image ~ faithful image of R2 ~at R2" if at_eq else "no chain",
+          "at_witness_scan": "absent" if at_scan is None else "present"}),
+        ("C4", "conclusion step: the implication holds on the order-2 representation",
+         "fulfilled", True, ok1, _FULFILLED, c4_evidence),
+        ("C5", "conclusion step: the implication fails on the order-4 representation",
+         "not fulfilled", False, ok2, _FULFILLED, _violation(r2, qid, (0,) * r2.dim, "b")),
+        ("C6", "conclusion: the representations are not geometrically equivalent",
+         "not equivalent", False, isinstance(reps, Equivalent), _EQUIVALENT,
+         _geo_evidence(reps)),
+    ]
+    claims = tuple(
+        Claim(cid, location, asserted, words[value],
+              "CONFIRMED" if value == expected else "CONTRADICTED", evidence)
+        for cid, location, asserted, expected, value, words, evidence in rows
     )
-
-    # C3: the representations are action-type geometrically equivalent,
-    # via the faithful-image chain.
-    va = at_equivalent(r1, r2, bounds, caps)
-    c3_eq = isinstance(va, Equivalent)
-    claims.append(
-        Claim(
-            "C3",
-            "construction: action-type equivalence via the faithful image",
-            "action-type equivalent",
-            "equivalent" if c3_eq else "not equivalent",
-            _status(True, c3_eq),
-            {
-                "chain": "R1 ~at its faithful image ~ faithful image of R2 ~at R2"
-                if c3_eq
-                else "no chain",
-                "at_witness_scan": "absent"
-                if find_at_witness(r1, r2, bounds, caps) is None
-                else "present",
-            },
-        )
-    )
-
-    # C4 / C5: the implication (x.y - x = 0) => (y = 1) on each
-    # representation.  The source asserts it holds on the order-2
-    # representation (kernel is trivial) and fails on the order-4 one.
-    ctx = FreeContext(("x",), ("y",))
-    qid = paper_witness_qid(ctx, field)
-
-    ok1, _ = fulfills_qid(r1, qid, caps)
-    # the discussion-relevant witness: the swap-fixed all-ones vector
-    ones = tuple([1] * r1.dim)
-    w4 = Assignment(r1, (ones,), (r1.group.index("a"),))
-    w4_valid = all(eval_atom(w4, a) for a in qid.premises) and not eval_atom(
-        w4, qid.conclusion
-    )
-    claims.append(
-        Claim(
-            "C4",
-            "conclusion step: the implication holds on the order-2 representation",
-            "fulfilled",
-            "fulfilled" if ok1 else "not fulfilled",
-            _status(True, ok1),
-            {
-                "witness": _asg_evidence(w4),
-                "witness_verified": w4_valid,
-                "note": "exhaustive enumeration of all assignments refutes the "
-                "kernel-based argument: the all-ones vector is fixed by the swap",
-            }
-            if not ok1
-            else {},
-        )
-    )
-
-    ok2, _ = fulfills_qid(r2, qid, caps)
-    zeros = tuple([0] * r2.dim)
-    w5 = Assignment(r2, (zeros,), (r2.group.index("b"),))
-    w5_valid = all(eval_atom(w5, a) for a in qid.premises) and not eval_atom(
-        w5, qid.conclusion
-    )
-    claims.append(
-        Claim(
-            "C5",
-            "conclusion step: the implication fails on the order-4 representation",
-            "not fulfilled",
-            "not fulfilled" if not ok2 else "fulfilled",
-            _status(False, ok2),
-            {"witness": _asg_evidence(w5), "witness_verified": w5_valid},
-        )
-    )
-
-    # C6: the construction concludes the two representations are NOT
-    # geometrically equivalent.
-    vr = geo_equivalent(r1, r2, caps, bounds)
-    c6_eq = isinstance(vr, Equivalent)
-    ev6 = {}
-    if c6_eq:
-        ev6 = {
-            "forward_homs": len(vr.certificate.forward.homs),
-            "backward_homs": len(vr.certificate.backward.homs),
-            "revalidated": validate_separation_certificate(vr.certificate.forward)
-            and validate_separation_certificate(vr.certificate.backward),
-        }
-    claims.append(
-        Claim(
-            "C6",
-            "conclusion: the representations are not geometrically equivalent",
-            "not equivalent",
-            "equivalent" if c6_eq else "not equivalent",
-            _status(False, c6_eq),
-            ev6,
-        )
-    )
-
-    commentary = (
-        "A repaired reading under which the contradicted steps go through: "
-        "quantify implication premises over every vector of the space rather "
-        "than over chosen generator images.  That reading is reported here as "
-        "commentary only; the deciders implement the stated point-wise "
-        "semantics."
-    )
-    return AuditReport(p, tuple(claims), commentary)
+    return AuditReport(p, claims, _COMMENTARY)
 
 
 def render_report(report: AuditReport) -> str:

@@ -21,10 +21,10 @@ from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
-from .audit import SUPPORTED_PRIMES, paper_demo, render_report, report_jsonable
+from .audit import SUPPORTED_PRIMES, _asg_evidence, paper_demo, render_report, report_jsonable
 from .config import DEFAULT_BOUNDS, SearchBounds
 from .errors import InvalidInput, ParseError, RepGeoError
-from .freemod import ModuleAtom, QuasiIdentity
+from .freemod import ModuleAtom
 from .geometry import (
     AtChainCertificate,
     AtWitness,
@@ -141,8 +141,6 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, (list, tuple)):
         return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, SeparationCertificate):
         return {
             "homs": [_jsonable(h) for h in obj.homs],
@@ -172,8 +170,6 @@ def _jsonable(obj):
             "in_first": obj.in_first,
             "in_second": obj.in_second,
         }
-    if isinstance(obj, QuasiIdentity):
-        return serialize_qid(obj)
     return str(obj)
 
 
@@ -230,12 +226,7 @@ def _qid(args) -> tuple[dict, str]:
     q = parse_qid(args.formula, infer_context(args.formula), rep.field)
     ok, witness = fulfills_qid(rep, q)
     outcome = "fulfilled" if ok else "not-fulfilled"
-    wit = None
-    if witness is not None:
-        wit = {
-            "x": [list(v) for v in witness.xmap],
-            "y": [rep.group.names[i] for i in witness.ymap],
-        }
+    wit = None if witness is None else _asg_evidence(witness)
     payload = {"inputs": [args.rep, args.formula], "outcome": outcome, "witness": wit}
     return payload, outcome if ok else f"{outcome}, witness {wit}"
 

@@ -32,12 +32,6 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.names)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
-
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -207,9 +201,6 @@ class GroupHom:
     domain: FiniteGroup
     codomain: FiniteGroup
     image: tuple[int, ...]  # image[i] = index in codomain of the image of g_i
-
-    def __call__(self, i: int) -> int:
-        return self.image[i]
 
     def is_bijective(self) -> bool:
         return (

@@ -36,12 +36,6 @@ class PrimeField:
         if not isinstance(self.p, int) or not _is_prime(self.p) or self.p > 97:
             raise InvalidInput(f"p={self.p} is not a prime in [2, 97]")
 
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
-
 
 def zero_vec(n: int) -> Vector:
     return (0,) * n

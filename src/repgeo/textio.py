@@ -376,17 +376,26 @@ class _LineReader:
         return item
 
 
+def _is_identifier(name: str) -> bool:
+    """Whether the expression tokenizer reads ``name`` as one identifier."""
+    try:
+        toks = _tokenize(name)
+    except ParseError:
+        return False
+    return len(toks) == 2 and toks[0].kind == "ident" and toks[0].text == name
+
+
 def _names_line(
     reader: _LineReader, keyword: str, variables: bool = True
 ) -> tuple[int, str, tuple[str, ...]]:
-    """A header line: the keyword followed by at least one name.  Variable
-    names must be identifiers (``str.isidentifier``)."""
+    """A header line: the keyword followed by at least one name.  A
+    variable name must be one identifier token of the expression grammar."""
     lineno, line = reader.require(keyword)
     parts = list(re.finditer(r"\S+", line))
     if len(parts) < 2 or parts[0][0] != keyword:
         raise _line_error(lineno, line, f'"{keyword}" followed by names')
-    bad = next((m for m in parts[1:] if not m[0].isidentifier()), None)
-    if variables and bad:
+    bad = next((m for m in parts[1:] if variables and not _is_identifier(m[0])), None)
+    if bad:
         raise ParseError(SourceSpan(lineno, bad.start() + 1, len(bad[0])), "a variable name")
     return lineno, line, tuple(m[0] for m in parts[1:])
 

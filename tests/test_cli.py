@@ -263,6 +263,8 @@ GOLDEN_CASES = {
     "homs": ["homs", "v4.grp", "z2.grp"],
     "homs-reps": ["homs", "r1.rep", "r1.rep", "--reps"],
     "paper-demo": ["paper-demo", "--p", "2"],
+    "paper-demo-p3": ["paper-demo", "--p", "3"],
+    "paper-demo-p5": ["paper-demo", "--p", "5"],
     "error-parse": ["qid", "bad.rep", "y = 1"],
     "error-missing-file": ["qid", "missing.rep", "y = 1"],
     "error-cap": ["qid", "r1.rep", CAP_QID],

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 
@@ -30,6 +31,8 @@ from repgeo import (
     serialize_qid,
     serialize_system,
 )
+from repgeo.cli import main
+from repgeo.errors import RepGeoError
 from repgeo.sampling import random_qid, random_representation, random_system
 
 GF2 = PrimeField(2)
@@ -177,6 +180,23 @@ def test_system_file_variable_names_are_identifiers():
     assert g.names == ("1", "g^2", "a·b")
 
 
+def test_system_file_header_takes_a_tokenizer_identifier():
+    # "²" continues an identifier in the expression grammar, so the
+    # header accepts the name the atoms read as one variable
+    ctx, system = parse_system_file("xvars x\nyvars y²\ngroup: y²*y² = 1\n", GF2)
+    assert ctx.yvars == ("y²",)
+    assert len(system.group_part) == 1
+
+
+def test_system_file_header_rejects_a_combining_mark():
+    # a decomposed "é" (e + U+0301) passes str.isidentifier, but the
+    # tokenizer stops at the combining mark: the header rejects it
+    with pytest.raises(ParseError) as e:
+        parse_system_file("xvars x\nyvars e\u0301\ngroup: e\u0301 = 1\n", GF2)
+    assert e.value.span == SourceSpan(2, 7, 2)
+    assert e.value.expected == "a variable name"
+
+
 def test_unknown_variable():
     from repgeo.errors import UnknownVariable
 
@@ -193,6 +213,52 @@ def test_parse_r2_file(r2):
     assert set(rep.group.names) == set(r2.group.names)
     for name in rep.group.names:
         assert rep.act[rep.group.index(name)] == r2.act[r2.group.index(name)]
+
+
+REP_HEAD = "field p=2\ngroup cyclic(2) as a\ndim 2\n"
+EYE = "[[1,0],[0,1]]"
+ORDER_65 = " ".join(["1"] + [f"g{i}" for i in range(1, 65)])
+
+
+def _parse_gf2_system(text):
+    return parse_system_file(text, GF2)
+
+
+@pytest.mark.parametrize("parse, text, span, match, via_cli", [
+    # rep-file act lines
+    (parse_rep_file, REP_HEAD + f"  mat a = {EYE}\n", (4, 3, 21), '"act <element>', False),
+    (parse_rep_file, REP_HEAD + f"act a {EYE}\n", (4, 1, 19), '"="', False),
+    (parse_rep_file, REP_HEAD + f"act b = {EYE}\n", (4, 1, 21), "got 'b'", False),
+    (parse_rep_file, REP_HEAD + f"act a = {EYE}\nact a = {EYE}\n", (5, 1, 21), "at most once", True),
+    # group tables
+    (parse_group_file, f"group table\nelements {ORDER_65}\n", None, "order 65 exceeds cap 64", False),
+    (parse_group_file, "group table\n  elements 1 a a\n", (2, 3, 14), "distinct", False),
+    (parse_group_file, "group table\nelements 1 a\nrow 1 a\nrow a b\n", (4, 1, 7), "got 'b'", False),
+    # cyclic factors
+    (parse_group_file, "group product(cyclic(2) as a, cycle(2) as b)\n", (1, 1, 44), "cyclic", False),
+    (parse_group_file, "group cyclic(2 as a\n", (1, 1, 19), '"\\)"', False),
+    (parse_group_file, "group cyclic(0) as a\n", None, r"order 0 outside \[1, 64\]", False),
+    (parse_group_file, "group cyclic(65) as a\n", None, r"order 65 outside \[1, 64\]", False),
+    (parse_group_file, "group cyclic(2) as 2a\n", (1, 1, 21), '"as NAME"', False),
+    (parse_group_file, "group product(cyclic(2) as a)\n", (1, 1, 29), "two product factors", False),
+    # atoms of the wrong sort
+    (_parse_gf2_system, "xvars x\nyvars y\nmodule: y = 1\n", (3, 1, 13), "module equation", False),
+    (_parse_gf2_system, "xvars x\nyvars y\ngroup: x = 0\n", (3, 1, 12), "group equation", False),
+], ids=["no-act", "no-equals", "unknown-element", "element-twice", "table-over-cap",
+        "repeated-names", "unknown-row-name", "not-cyclic", "no-paren", "order-0", "order-65",
+        "bad-as-name", "one-factor-product", "group-after-module", "module-after-group"])
+def test_text_layer_input_errors(parse, text, span, match, via_cli, tmp_path, capsys):
+    # ParseErrors carry the span of their line; InvalidInput has none
+    with pytest.raises(RepGeoError, match=match) as e:
+        parse(text)
+    assert getattr(e.value, "span", None) == (span and SourceSpan(*span))
+    if via_cli:
+        path = tmp_path / "bad.rep"
+        path.write_text(text, encoding="utf-8")
+        assert main(["--json", "qid", str(path), "y = 1"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["outcome"] == "error"
+        assert doc["span"] == {"line": span[0], "column": span[1], "length": span[2]}
 
 
 def test_rep_file_not_an_action():
