@@ -19,6 +19,8 @@ import sys
 import time
 from dataclasses import replace
 from functools import lru_cache
+from itertools import chain, cycle, islice, repeat
+from operator import attrgetter, getitem, is_
 from pathlib import Path
 
 from .audit import SUPPORTED_PRIMES, _asg_evidence, paper_demo, render_report, report_jsonable
@@ -76,9 +78,9 @@ def _dumps(obj) -> str:
     "matrix": [[...]]}``, images in the codomain's element names.
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
-    the walk stays in Python, but lists of strings are escaped and joined
-    at C speed (one escape call when no item needs escaping), a codomain's
-    names are escaped once, and the pieces are joined once, at the end.
+    the walk stays in Python, but lists of strings and of homs into one
+    codomain are written at C speed (``_write_homs``), a codomain's names
+    are escaped once, and the pieces are joined once, at the end.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -93,9 +95,7 @@ def _write(obj, nl: str, out: list[str]) -> None:
     elif type(obj) is int:  # not bool, which json writes as true/false
         out.append(str(obj))
     elif isinstance(obj, GroupHom):
-        names = _escaped_names(obj.codomain.names)
-        image = ("," + inner + "  ").join([names[x] for x in obj.image])
-        out.append(f'{{{inner}"image": [{inner}  {image}{inner}]{nl}}}')
+        _write_homs([obj], nl, out)
     elif isinstance(obj, RepHom):
         names, item = _escaped_names(obj.target.group.names), inner + "  "
         image = ("," + item).join([names[x] for x in obj.grouphom.image])
@@ -113,6 +113,10 @@ def _write(obj, nl: str, out: list[str]) -> None:
             out.append(("," if n else "{") + inner + _escape(k) + ": ")
             _write(v, inner, out)
         out.append(nl + "}")
+    elif _same_codomain_homs(obj):
+        out.append("[" + inner)
+        _write_homs(obj, inner, out)
+        out.append(nl + "]")
     else:
         try:
             joined = "".join(obj)
@@ -128,6 +132,32 @@ def _write(obj, nl: str, out: list[str]) -> None:
             else:
                 items = sep.join(map(_escape, obj))
             out.append(f"[{inner}{items}{nl}]")
+
+
+def _same_codomain_homs(homs) -> bool:
+    """Whether ``homs`` are ``GroupHom``s with one codomain names tuple and one image length."""
+    return (
+        set(map(type, homs)) == {GroupHom}
+        and len(set(map(len, map(attrgetter("image"), homs)))) == 1
+        and all(map(is_, map(attrgetter("codomain.names"), homs), repeat(homs[0].codomain.names)))
+    )
+
+
+def _write_homs(homs, nl: str, out: list[str]) -> None:
+    """``homs`` (passing ``_same_codomain_homs``) at indent ``nl``, comma-separated: each image entry
+    but the first is one piece, its separator and name, and a hom's first entry also ends the hom
+    before it and starts its own.  The pieces of 256 homs at a time are joined at C speed."""
+    inner = nl + "  "
+    head, tail = f'{{{inner}"image": [{inner}  ', f"{inner}]{nl}}}"
+    names = _escaped_names(homs[0].codomain.names)
+    tables = [["," + inner + "  " + x for x in names]] * (len(homs[0].image) - 1)
+    tables.append([tail + "," + nl + head + x for x in names])
+    flat = chain.from_iterable(map(attrgetter("image"), homs))
+    out.append(head + names[next(flat)])
+    pieces = map(getitem, cycle(tables), flat)
+    while chunk := "".join(islice(pieces, 256 * len(tables))):
+        out.append(chunk)
+    out.append(tail)
 
 
 @lru_cache(maxsize=16)

@@ -7,7 +7,7 @@ order along the subgroup chain they span, comparing Schreier relators only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -65,40 +65,49 @@ def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fi
     if len(set(names)) != n:
         raise InvalidInput("element names not distinct")
     rows = tuple(tuple(r) for r in table)
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if len(rows) != n or set(map(len, rows)) != {n}:
         raise InvalidInput("table is not n x n")
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            if not (isinstance(x, int) and 0 <= x < n):
-                raise InvalidInput(f"table[{i}][{j}]={x!r} out of range")
+    # each check runs on whole rows and columns at C speed; the row-major
+    # sweep after it runs only on failure, to name the first offender
+    flat = list(chain.from_iterable(rows))
+    if not (set(map(type, flat)) <= {int, bool} and set(flat) <= set(range(n))):
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if not (isinstance(x, int) and 0 <= x < n):
+                    raise InvalidInput(f"table[{i}][{j}]={x!r} out of range")
+    cols = list(zip(*rows))
     # identity at index 0
-    for j in range(n):
-        if rows[0][j] != j:
-            raise NotAGroup("identity", (0, j, rows[0][j]))
-        if rows[j][0] != j:
-            raise NotAGroup("identity", (j, 0, rows[j][0]))
+    if rows[0] != cols[0] or rows[0] != tuple(range(n)):
+        for j in range(n):
+            if rows[0][j] != j:
+                raise NotAGroup("identity", (0, j, rows[0][j]))
+            if rows[j][0] != j:
+                raise NotAGroup("identity", (j, 0, rows[j][0]))
     # latin square
-    for i in range(n):
-        if len(set(rows[i])) != n:
-            raise NotAGroup("latin-square", ("row", i))
-        if len({rows[k][i] for k in range(n)}) != n:
-            raise NotAGroup("latin-square", ("col", i))
+    if set(map(len, map(set, rows))) | set(map(len, map(set, cols))) != {n}:
+        for i in range(n):
+            if len(set(rows[i])) != n:
+                raise NotAGroup("latin-square", ("row", i))
+            if len(set(cols[i])) != n:
+                raise NotAGroup("latin-square", ("col", i))
     # associativity by Light's test: the k with (ij)k = i(jk) for all i, j
-    # are closed under products, so the generators (_cayley_graph) suffice
+    # are closed under products, so the generators (_cayley_graph) suffice.  Up to
+    # order 256 the column-major table, as bytes, is relabelled by k ((ij)k) and
+    # has its columns permuted by k (i(jk))
+    columns = list(map(bytes, cols)) if n <= 256 else []
     for k in _cayley_graph(rows)[0]:
-        col = [r[k] for r in rows]
-        for i, row in enumerate(rows):
-            if [col[x] for x in row] != [row[x] for x in col]:
-                j = next(j for j in range(n) if col[row[j]] != row[col[j]])
-                raise NotAGroup("associativity", (i, j, k))
-    # two-sided inverses
-    inverses = []
-    for i in range(n):
-        j = rows[i].index(0)
-        if rows[j][i] != 0:
-            raise NotAGroup("inverse", (i, j))
-        inverses.append(j)
-    return FiniteGroup(names, rows, tuple(inverses))
+        col = cols[k]
+        if not columns or b"".join(columns).translate(bytes(col).ljust(256)) != b"".join(itemgetter(*col)(columns)):
+            for i, row in enumerate(rows):
+                if [col[x] for x in row] != [row[x] for x in col]:
+                    j = next(j for j in range(n) if col[row[j]] != row[col[j]])
+                    raise NotAGroup("associativity", (i, j, k))
+    # two-sided inverses: a row's 0 sits where its column's does
+    inverses = tuple(map(tuple.index, rows, repeat(0)))
+    if inverses != tuple(map(tuple.index, cols, repeat(0))):
+        i = next(i for i, j in enumerate(inverses) if rows[j][i] != 0)
+        raise NotAGroup("inverse", (i, inverses[i]))
+    return FiniteGroup(names, rows, inverses)
 
 
 def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:
@@ -118,18 +127,14 @@ def _joined_name(a: str, b: str) -> str:
     return "·".join(parts) if parts else "1"
 
 
-def product_group(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    pairs = [(i, j) for i in range(g.order) for j in range(h.order)]
-    names = [_joined_name(g.names[i], h.names[j]) for (i, j) in pairs]
+def product_group(*factors: FiniteGroup) -> FiniteGroup:
+    """G x H x ..., validated once: (g_i, h_j) in G x H is named g_i·h_j, at index i |H| + j."""
+    names, table = ["1"], [[0]]
+    for h in factors:
+        names = [_joined_name(a, b) for a in names for b in h.names]
+        table = [[ab * h.order + xy for ab in row for xy in hrow] for row in table for hrow in h.table]
     if len(set(names)) != len(names):
-        raise InvalidInput(
-            "name clash in product; build the factors with distinct generator names"
-        )
-    idx = {pq: k for k, pq in enumerate(pairs)}
-    table = [
-        [idx[(g.table[i1][i2], h.table[j1][j2])] for (i2, j2) in pairs]
-        for (i1, j1) in pairs
-    ]
+        raise InvalidInput("name clash in product; build the factors with distinct generator names")
     return group_from_table(names, table)
 
 
@@ -338,7 +343,8 @@ def _group_homs(g: FiniteGroup, h: FiniteGroup, caps: EnumerationCaps) -> Iterat
         raise EnumerationCapExceeded(caps.max_hom_candidates, candidates, "hom search")
     # right[s][x] = x * s in H
     right = [[row[s] for row in h.table] for s in range(h.order)]
-    to_element_order = itemgetter(*order)
+    # images come in block order, which products of cyclic groups already keep
+    to_element_order = tuple if order == list(range(len(order))) else itemgetter(*order)
 
     def extend(found, tree, rels, last):
         for gimgs, block in found:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 from math import prod
 from typing import Optional
 
@@ -432,7 +431,7 @@ def _parse_cyclic_factor(lineno: int, line: str, spec_text: str, caps: Enumerati
     tail = tail.strip()
     if tail:
         parts = tail.split()
-        if len(parts) != 2 or parts[0] != "as" or not parts[1].isidentifier():
+        if len(parts) != 2 or parts[0] != "as" or not _is_identifier(parts[1]):
             raise _line_error(lineno, line, '"as NAME"')
         gen = parts[1]
     return cyclic_group(n, gen)
@@ -474,28 +473,23 @@ def _parse_group_block(reader: _LineReader, caps: EnumerationCaps) -> FiniteGrou
             rparts = line3.split()
             if not rparts or rparts[0] != "row" or len(rparts) != n + 1:
                 raise _line_error(lineno3, line3, f'"row" with {n} entries')
-            row = []
-            for nm in rparts[1:]:
-                if nm not in index:
-                    raise _line_error(lineno3, line3, f"an element name (got {nm!r})")
-                row.append(index[nm])
-            table.append(row)
+            try:
+                table.append(list(map(index.__getitem__, rparts[1:])))
+            except KeyError as e:
+                raise _line_error(lineno3, line3, f"an element name (got {e.args[0]!r})") from None
         return group_from_table(names, table)
     if spec_text.startswith("cyclic("):
         return _parse_cyclic_factor(lineno, line, spec_text, caps)
     if spec_text.startswith("product(") and spec_text.endswith(")"):
         inner = spec_text[len("product("):-1]
-        factors = [
-            _parse_cyclic_factor(lineno, line, a.strip(), caps)
-            for a in _split_product_args(inner)
-        ]
+        factors = [_parse_cyclic_factor(lineno, line, a, caps) for a in _split_product_args(inner)]
         if len(factors) < 2:
             raise _line_error(lineno, line, "at least two product factors")
         # before multiplying: building an oversized product is the expensive part
         order = prod(h.order for h in factors)
         if order > caps.max_group_order:
             raise InvalidInput(f"group order {order} exceeds cap {caps.max_group_order}")
-        return reduce(product_group, factors)
+        return product_group(*factors)
     raise _line_error(lineno, line, '"table", "cyclic(...)", or "product(...)"')
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repgeo import (
+    GroupHom,
     PrimeField,
     cyclic_group,
     enumerate_group_homs,
@@ -16,7 +18,7 @@ from repgeo import (
     group_from_table,
     make_representation,
 )
-from repgeo.cli import _dumps, main
+from repgeo.cli import _dumps, _same_codomain_homs, main
 from repgeo.config import DEFAULT_BOUNDS
 
 R1_FILE = """\
@@ -393,6 +395,66 @@ def test_writer_renders_rep_homs_as_image_and_matrix():
     payload = {"homs": homs, "one": {"h": homs[4]}, "group": [homs[0].grouphom]}
     plain = {"homs": plain_homs, "one": {"h": plain_homs[4]}, "group": [{"image": ["1"] * 3}]}
     assert _dumps(payload) == json.dumps(plain, sort_keys=True, indent=2)
+
+
+def _plain(obj):
+    """``obj`` with every ``GroupHom`` written out as plain JSON data."""
+    if isinstance(obj, GroupHom):
+        return {"image": [obj.codomain.names[x] for x in obj.image]}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(x) for x in obj]
+    return obj
+
+
+def _codomain(names):
+    m = len(names)
+    return group_from_table(names, [[(i + j) % m for j in range(m)] for i in range(m)])
+
+
+@st.composite
+def _hom_lists(draw):
+    """(homs, whether they share one codomain and image length): random
+    images into a codomain of order 1-8 whose names json must escape, with
+    lengths around the writer's chunk of 256 homs, and sometimes one item
+    that must send the list down the per-item path."""
+    order = draw(st.integers(1, 8))
+    codomain = _codomain(draw(st.lists(_TEXT, min_size=order, max_size=order, unique=True)))
+    length = draw(st.sampled_from([1, 1, 2, 3, 6]))  # 1: a trivial domain
+    count = draw(st.sampled_from([1, 2, 5, 255, 256, 257, 513]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def hom(cod, n):
+        return GroupHom(cyclic_group(n), cod, tuple(rng.randrange(cod.order) for _ in range(n)))
+
+    homs = [hom(codomain, length) for _ in range(count)]
+    odd = draw(st.sampled_from([None, "codomain", "equal names", "length", "value"]))
+    if odd == "codomain":
+        extra = hom(_codomain(draw(st.lists(_TEXT, min_size=1, max_size=8, unique=True))), length)
+    elif odd == "equal names":  # equal names, another tuple: still the per-item path
+        extra = hom(_codomain(list(codomain.names)), length)
+    elif odd == "length":
+        extra = hom(codomain, length + 1)
+    elif odd == "value":
+        extra = draw(_PAYLOAD)
+    if odd is not None:
+        homs.insert(draw(st.integers(0, count)), extra)
+    return homs, odd is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hom_lists(), st.sampled_from(["list", "tuple", "in dict", "in list"]))
+def test_writer_matches_json_dumps_on_hom_lists(drawn, wrap):
+    homs, same = drawn
+    assert _same_codomain_homs(homs) == same
+    payload = {
+        "list": homs,
+        "tuple": tuple(homs),
+        "in dict": {"certificate": {"count": len(homs), "homs": homs}, "one": homs[-1]},
+        "in list": [homs, [homs[:1]], {"h": homs}],
+    }[wrap]
+    assert _dumps(payload) == json.dumps(_plain(payload), sort_keys=True, indent=2)
 
 
 def test_homs_json_4096_product_homs(tmp_path, capsys):

@@ -17,9 +17,10 @@ from repgeo import (
     trivial_group,
 )
 from repgeo.config import EnumerationCaps
-from repgeo.errors import EnumerationCapExceeded, InvalidInput
-from repgeo.groups import _cayley_graph, _group_homs
+from repgeo.errors import EnumerationCapExceeded, InvalidInput, RepGeoError
+from repgeo.groups import _cayley_graph, _group_homs, _subgroup_chain
 from repgeo.sampling import general_linear_group, symmetric_group_3
+from repgeo.textio import parse_group_file
 
 from naive import naive_group_homs
 
@@ -64,6 +65,73 @@ def test_associativity_rejected_with_witness():
     i, j, k = e.value.witness
     t = _LOOP5
     assert t[t[i][j]][k] != t[i][t[j][k]]
+
+
+_Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+def _z3_with(entries):
+    table = [list(r) for r in _Z3]
+    for (i, j), x in entries.items():
+        table[i][j] = x
+    return table
+
+
+# a loop with two-sided inverses that is not associative
+_INVERSE_LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+@pytest.mark.parametrize("table, error, message", [
+    # the first offender in row-major order is named, whatever its kind
+    *(
+        (_z3_with({(2, 0): bad, (1, 2): bad}), InvalidInput, f"table[1][2]={bad!r} out of range")
+        for bad in [1.0, "1", None, -1, 3]
+    ),
+    (_z3_with({(2, 0): "1", (1, 2): -1}), InvalidInput, "table[1][2]=-1 out of range"),
+    ([[0, 1, 2], [1, 2], [2, 0, 1]], InvalidInput, "table is not n x n"),
+    ([[0, 1, 2], [1, 2, 0]], InvalidInput, "table is not n x n"),
+    ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], NotAGroup("identity", (2, 0, 1)), None),
+    ([[0, 2, 1], [1, 0, 2], [2, 1, 0]], NotAGroup("identity", (0, 1, 2)), None),
+    ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 3, 1], [3, 2, 1, 0]], NotAGroup("latin-square", ("row", 2)), None),
+    ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 1]], NotAGroup("latin-square", ("col", 2)), None),
+    (_INVERSE_LOOP5, NotAGroup("associativity", (2, 1, 1)), None),
+    # 2 * 3 = 1 but 3 * 2 = 1: a loop without two-sided inverses is never
+    # associative, so Light's test names it before the inverse check
+    (_LOOP5, NotAGroup("associativity", (2, 1, 1)), None),
+], ids=["float", "str", "none", "negative", "n", "first-of-two-kinds", "ragged", "row-count",
+        "identity-col", "identity-row", "row-repeat", "col-repeat", "loop", "no-inverses"])
+def test_table_errors_name_the_first_offender(table, error, message):
+    with pytest.raises(RepGeoError) as e:
+        group_from_table([str(i) for i in range(len(table[0]))], table)
+    if isinstance(error, NotAGroup):
+        assert type(e.value) is NotAGroup
+        assert (e.value.reason, e.value.witness, str(e.value)) == (error.reason, error.witness, str(error))
+    else:
+        assert (type(e.value), str(e.value)) == (error, message)
+
+
+def test_table_takes_in_range_bools_as_ints():
+    g = group_from_table(["1", "a", "b"], _z3_with({(1, 0): True, (0, 1): True}))
+    assert g.table == ((0, True, 2), (True, 2, 0), (2, 0, 1)) and g.inverses == (0, 2, 1)
+
+
+def test_table_checks_above_order_256():
+    # beyond 256 elements Light's test runs as the row-major sweep alone
+    assert cyclic_group(300).inverses[1:4] == (299, 298, 297)
+    n = 5 * 60  # the loop of order 5 times Z60 is a loop, not a group
+    table = [[_LOOP5[a][b] * 60 + (x + y) % 60 for b in range(5) for y in range(60)]
+             for a in range(5) for x in range(60)]
+    with pytest.raises(NotAGroup) as e:
+        group_from_table([str(i) for i in range(n)], table)
+    i, j, k = e.value.witness
+    assert e.value.reason == "associativity" and k in _cayley_graph(table)[0]
+    assert table[table[i][j]][k] != table[i][table[j][k]]
 
 
 def _reduced_latin_squares(n):
@@ -144,6 +212,23 @@ def test_product_z2_z3_is_cyclic_of_order_6():
 def test_product_name_clash_rejected():
     with pytest.raises(InvalidInput):
         product_group(cyclic_group(2), cyclic_group(2))
+
+
+def test_product_of_many_factors_is_the_iterated_product():
+    e2 = group_from_table(["e", "x"], [[0, 1], [1, 0]])  # an identity not named "1"
+    factors = [cyclic_group(2, "a"), e2, _S3, cyclic_group(3, "c")]
+    for k in range(1, len(factors) + 1):
+        nested = factors[0]
+        for f in factors[1:k]:
+            nested = product_group(nested, f)
+        flat = product_group(*factors[:k])
+        assert (flat.names, flat.table, flat.inverses) == (nested.names, nested.table, nested.inverses)
+    for clash in [[_Z2, _Z2, cyclic_group(2, "b")], [_Z2, cyclic_group(2, "b"), _Z2]]:
+        with pytest.raises(InvalidInput) as flat_error:
+            product_group(*clash)
+        with pytest.raises(InvalidInput) as nested_error:
+            product_group(product_group(clash[0], clash[1]), clash[2])
+        assert str(flat_error.value) == str(nested_error.value)
 
 
 def test_quotient_klein_by_b():
@@ -324,6 +409,33 @@ def test_hom_list_is_in_generator_image_order(gname, seed):
         keys = [tuple(image[s] for s in gens) for image in images]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert images == sorted(images)
+
+
+_PRODUCT_FILES = {
+    "Z2^6": "group product(" + ", ".join(f"cyclic(2) as {x}" for x in "abcdfg") + ")",
+    "Z4^3": "group product(cyclic(4) as a, cyclic(4) as b, cyclic(4) as c)",
+    "Z8^2": "group product(cyclic(8) as a, cyclic(8) as b)",
+    "Z4xZ2": "group product(cyclic(4) as a, cyclic(2) as b)",
+    "Z2xZ4": "group product(cyclic(2) as a, cyclic(4) as b)",
+}
+
+
+def test_hom_stream_reorders_images_only_off_products():
+    # the chain's block order is the element order on products of cyclic
+    # groups, so their images skip the reorder; a shuffled table needs it
+    for text in _PRODUCT_FILES.values():
+        g = parse_group_file(text)
+        assert _subgroup_chain(g.table)[1] == list(range(g.order)), text
+    shuffled = _relabelled(_GROUPS["GL(2,3)"], 0)
+    assert _subgroup_chain(shuffled.table)[1] != list(range(48))
+    # both paths against the full-table enumerator
+    for g, h in [
+        (parse_group_file(_PRODUCT_FILES["Z4^3"]), _GROUPS["Z2"]),
+        (parse_group_file(_PRODUCT_FILES["Z4xZ2"]), _GROUPS["S3xZ2"]),
+        (parse_group_file(_PRODUCT_FILES["Z2xZ4"]), _GROUPS["Z4xZ2"]),
+        (shuffled, _GROUPS["V4"]),
+    ]:
+        assert [x.image for x in enumerate_group_homs(g, h)] == naive_group_homs(g, h)
 
 
 def test_hom_stream_checks_its_caps_before_drawing():

@@ -197,6 +197,24 @@ def test_system_file_header_rejects_a_combining_mark():
     assert e.value.expected == "a variable name"
 
 
+def test_group_file_generator_name_follows_the_identifier_rule():
+    # "as NAME" takes the names the headers take: "g²" is one identifier
+    # token, a decomposed "é" (e + U+0301) is not
+    assert parse_group_file("group cyclic(2) as g²\n").names == ("1", "g²")
+    with pytest.raises(ParseError) as e:
+        parse_group_file("group cyclic(2) as e\u0301\n")
+    assert (e.value.span, e.value.expected) == (SourceSpan(1, 1, 21), '"as NAME"')
+
+
+def test_rep_file_generator_name_follows_the_identifier_rule():
+    rep = parse_rep_file("field p=2\ngroup product(cyclic(2) as g², cyclic(2) as h)\n"
+                         "dim 1\nact g² = [[1]]\nact h = [[1]]\nact g²·h = [[1]]\n")
+    assert rep.group.names == ("1", "h", "g²", "g²·h")
+    with pytest.raises(ParseError) as e:
+        parse_rep_file("field p=2\n  group cyclic(2) as e\u0301\ndim 1\n")
+    assert (e.value.span, e.value.expected) == (SourceSpan(2, 3, 21), '"as NAME"')
+
+
 def test_unknown_variable():
     from repgeo.errors import UnknownVariable
 
