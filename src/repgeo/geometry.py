@@ -40,11 +40,10 @@ from .freemod import (
     module_term,
     reduce_word,
     ring_from_terms,
-    word_key,
     word_value,
 )
 from .groups import FiniteGroup, _group_homs, hom_defect
-from .linalg import all_vectors, kernel_rref, span_elements, vec_mat, zero_vec
+from .linalg import kernel_rref, span_elements, vec_mat, zero_vec
 from .reps import (
     Representation,
     _rep_homs,
@@ -75,15 +74,9 @@ def _check_inputs(
 def enumerate_assignments(
     rep: Representation, ctx: FreeContext, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> list[Assignment]:
-    """All points of the affine space, in enumeration order."""
-    _check_inputs(rep, ctx, (), caps)
-    nx, ny = len(ctx.xvars), len(ctx.yvars)
-    vectors = all_vectors(rep.p, rep.dim)
-    out = []
-    for xm in product(vectors, repeat=nx):
-        for ym in product(range(rep.group.order), repeat=ny):
-            out.append(Assignment(rep, xm, ym))
-    return out
+    """All points of the affine space, in enumeration order: the solutions
+    of the empty system."""
+    return list(solution_set(rep, equation_system(ctx), caps).solutions)
 
 
 def _assignment(rep: Representation, x: Sequence[int], y: tuple[int, ...]) -> Assignment:
@@ -250,20 +243,14 @@ def scan_context(nx: int, ny: int) -> FreeContext:
 
 
 def bounded_words(ctx: FreeContext, max_len: int) -> list[GroupWord]:
-    """All reduced words of length <= max_len, in shortlex order."""
-    seen = {identity_word(ctx)}
-    frontier = list(seen)
+    """All reduced words of length <= max_len, in shortlex order: each
+    length extends the previous length's words, in order, by every letter
+    that does not cancel their last letter."""
     alphabet = [(v, e) for v in range(len(ctx.yvars)) for e in (1, -1)]
+    levels = [[()]]
     for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for v, e in alphabet:
-                w2 = reduce_word(ctx, list(w.letters) + [(v, e)])
-                if w2 not in seen and w2.length() <= max_len:
-                    seen.add(w2)
-                    nxt.append(w2)
-        frontier = nxt
-    return sorted(seen, key=word_key)
+        levels.append([w + ((v, e),) for w in levels[-1] for v, e in alphabet if w[-1:] != ((v, -e),)])
+    return [reduce_word(ctx, w) for level in levels for w in level]
 
 
 def _ascending(groups: Sequence[Sequence[tuple[int, object]]], n: int) -> list[list[tuple]]:
@@ -586,8 +573,6 @@ def separates_points(source, target, caps: EnumerationCaps = DEFAULT_CAPS) -> Se
         g, image, pair, basis = source, attrgetter("image"), "", []
         homs = _group_homs(source, target, caps)
     elif isinstance(source, Representation) and isinstance(target, Representation):
-        if source.field != target.field:
-            raise FieldMismatch("representations over different fields")
         g, image, pair = source.group, attrgetter("grouphom.image"), " group pair"
         basis = kernel_of_matrix_family(source.p, [], source.dim)  # of the joint vector kernel
         homs = _rep_homs(source, target, caps)
@@ -683,11 +668,11 @@ def geo_equivalent(
     decided as point separation by the full hom family (exact for finite
     structures)."""
     fwd = separates_points(a, b, caps)
-    bwd = separates_points(b, a, caps)
-    if fwd.certificate is not None and bwd.certificate is not None:
-        return Equivalent(GeoCertificate(fwd.certificate, bwd.certificate))
-    bad = fwd if fwd.certificate is None else bwd
-    direction = "forward" if fwd.certificate is None else "backward"
+    bad, direction = fwd, "forward"
+    if fwd.certificate is not None:  # only then can the backward run decide
+        bad, direction = separates_points(b, a, caps), "backward"
+        if bad.certificate is not None:
+            return Equivalent(GeoCertificate(fwd.certificate, bad.certificate))
     qid = None
     if (
         search_qid

@@ -91,11 +91,11 @@ def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fi
             if len(set(cols[i])) != n:
                 raise NotAGroup("latin-square", ("col", i))
     # associativity by Light's test: the k with (ij)k = i(jk) for all i, j
-    # are closed under products, so the generators (_cayley_graph) suffice.  Up to
+    # are closed under products, so the greedy generators suffice.  Up to
     # order 256 the column-major table, as bytes, is relabelled by k ((ij)k) and
     # has its columns permuted by k (i(jk))
     columns = list(map(bytes, cols)) if n <= 256 else []
-    for k in _cayley_graph(rows)[0]:
+    for k in _greedy_generators(rows):
         col = cols[k]
         if not columns or b"".join(columns).translate(bytes(col).ljust(256)) != b"".join(itemgetter(*col)(columns)):
             for i, row in enumerate(rows):
@@ -243,38 +243,36 @@ def compose_group_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(f.domain, g.codomain, tuple(g.image[x] for x in f.image))
 
 
-def _cayley_graph(table: Sequence[Sequence[int]]) -> tuple[list[int], list[tuple]]:
-    """Greedy generators of a Cayley table (each the least element not yet
+def _greedy_generators(table: Sequence[Sequence[int]]) -> list[int]:
+    """Greedy generators of a Cayley table: each the least element not yet
     reached from 0 by right multiplication, so every element is a
-    left-normed product of them) and the Cayley-graph edges
-    (e, pos, e * gens[pos], first) in breadth-first order from 0, where
-    first marks the edge that reaches its end first."""
-    gens, edges, seen = [], [], {0}
+    left-normed product of them."""
+    gens, reached, seen = [], [0], {0}
     while len(seen) < len(table):
         gens.append(min(set(range(len(table))) - seen))
-        seen, edges, queue = {0}, [], [0]
-        for e in queue:
-            for pos, s in enumerate(gens):
-                f = table[e][s]
-                edges.append((e, pos, f, f not in seen))
+        for e in reached:  # grows while it is read, up to <gens>
+            for f in map(table[e].__getitem__, gens):
                 if f not in seen:
                     seen.add(f)
-                    queue.append(f)
-    return gens, edges
+                    reached.append(f)
+    return gens
 
 
 def generating_words(g: FiniteGroup) -> tuple[list[int], list[list[int]]]:
     """Greedy generating set plus, per element, a word in those generators.
 
     words[i] is a list of generator positions whose left-to-right product
-    equals element i; enumerate_group_homs tries images of these gens.
+    equals element i, read off _subgroup_chain: x_c's word follows its
+    coset tree, and b x_c's word is b's word followed by x_c's.
     """
-    gens, edges = _cayley_graph(g.table)
-    words: list[list[int]] = [[] for _ in range(g.order)]
-    for e, pos, f, first in edges:
-        if first:
-            words[f] = words[e] + [pos]
-    return gens, words
+    levels, order = _subgroup_chain(g.table)
+    words: list[list[int]] = [[]]
+    for tree, _ in levels:
+        xs: list[list[int]] = [[]]
+        for i, s in tree:
+            xs.append(xs[i] + [s])
+        words = [b + x for x in xs for b in words]
+    return _greedy_generators(g.table), [words[pos] for pos in order]
 
 
 def _subgroup_chain(table: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
@@ -286,7 +284,7 @@ def _subgroup_chain(table: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
     x_c = x_i g_s, and a relator (i, s, c, pos) says x_i g_s = h x_c with h
     at position pos of block j - 1.  Block j is block j - 1 times x_0, x_1..
     """
-    gens = _cayley_graph(table)[0]
+    gens = _greedy_generators(table)
     block, levels = [0], []
     for j in range(len(gens)):
         where = {e: (0, pos) for pos, e in enumerate(block)}  # h x_c -> (c, pos of h)

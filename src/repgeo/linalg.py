@@ -159,9 +159,6 @@ def is_invertible(p: int, a: Matrix) -> bool:
 
 def span_elements(p: int, basis: Sequence[Vector], n: int) -> Iterator[Vector]:
     """All p^k combinations of the basis vectors (length-n each)."""
-    if not basis:
-        yield zero_vec(n)
-        return
     for coeffs in product(range(p), repeat=len(basis)):
         v = [0] * n
         for c, b in zip(coeffs, basis):
@@ -169,8 +166,3 @@ def span_elements(p: int, basis: Sequence[Vector], n: int) -> Iterator[Vector]:
                 for i, x in enumerate(b):
                     v[i] = (v[i] + c * x) % p
         yield tuple(v)
-
-
-def all_vectors(p: int, n: int) -> list[Vector]:
-    """Every vector of GF(p)^n in lexicographic order."""
-    return [tuple(t) for t in product(range(p), repeat=n)]

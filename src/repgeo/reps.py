@@ -7,6 +7,7 @@ with the row-vector right-action convention v . act[g].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .config import DEFAULT_CAPS, EnumerationCaps
@@ -22,7 +23,7 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _cayley_graph,
+    _greedy_generators,
     _group_homs,
     compose_group_homs,
     hom_defect,
@@ -33,7 +34,6 @@ from .linalg import (
     Matrix,
     PrimeField,
     Vector,
-    all_vectors,
     is_invertible,
     kernel_rref,
     mat_identity,
@@ -63,7 +63,8 @@ class Representation:
         return vec_mat(self.p, v, self.act[g])
 
     def vectors(self) -> list[Vector]:
-        return all_vectors(self.p, self.dim)
+        """Every vector of GF(p)^dim in lexicographic order."""
+        return list(product(range(self.p), repeat=self.dim))
 
 
 def make_representation(
@@ -101,7 +102,7 @@ def make_representation(
     # act(g) act(s) = act(g s) at the greedy generators s suffices, and makes act
     # invertible: each h is a left-normed product of them and act(1) = I.  Only a
     # failure sweeps every pair, to name the first failing one in row order
-    gens, n, t = _cayley_graph(group.table)[0], group.order, group.table
+    gens, n, t = _greedy_generators(group.table), group.order, group.table
     if any(mat_mul(p, full[i], full[s]) != full[t[i][s]] for i in range(n) for s in gens):
         i, j = next((i, j) for i in range(n) for j in range(n)
                     if mat_mul(p, full[i], full[j]) != full[t[i][j]])
@@ -195,7 +196,7 @@ def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> It
     For each group hom beta the equivariance conditions
     act_r(g) . A = A . act_s(beta(g)) are linear in the entries of the
     matrix A; we enumerate the nullspace.  The equations are written for
-    the greedy generators of R's group only (``_cayley_graph``).  That is
+    the greedy generators of R's group only (``_greedy_generators``).  That is
     exact: act_r, act_s and beta are homomorphisms, so if A intertwines at
     g and at a generator t, it intertwines at g * t, and every element is
     reached from the identity along such Cayley-graph edges.  Order is
@@ -207,7 +208,7 @@ def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> It
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
     betas = _group_homs(r.group, s.group, caps)
-    gens = _cayley_graph(r.group.table)[0]
+    gens = _greedy_generators(r.group.table)
     p, nunk = r.p, r.dim * s.dim
 
     def solve():

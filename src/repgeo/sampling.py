@@ -11,7 +11,7 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from .config import DEFAULT_BOUNDS, SearchBounds
+from .config import DEFAULT_BOUNDS
 from .freemod import (
     EquationSystem,
     FreeContext,
@@ -92,28 +92,16 @@ def random_representation(
     return make_representation(field, dim, g, act)
 
 
-def random_system(
-    rng: random.Random,
-    ctx: FreeContext,
-    field: PrimeField,
-    bounds: SearchBounds = DEFAULT_BOUNDS,
-    max_module: int = 2,
-    max_group: int = 1,
-) -> EquationSystem:
-    mod_pool = bounded_module_elements(ctx, field, bounds)
-    word_pool = [w for w in bounded_words(ctx, bounds.max_word_len)]
-    ms = rng.sample(mod_pool, rng.randint(0, min(max_module, len(mod_pool))))
-    ws = rng.sample(word_pool, rng.randint(0, min(max_group, len(word_pool))))
+def random_system(rng: random.Random, ctx: FreeContext, field: PrimeField) -> EquationSystem:
+    mod_pool = bounded_module_elements(ctx, field, DEFAULT_BOUNDS)
+    word_pool = bounded_words(ctx, DEFAULT_BOUNDS.max_word_len)
+    ms = rng.sample(mod_pool, rng.randint(0, min(2, len(mod_pool))))
+    ws = rng.sample(word_pool, rng.randint(0, min(1, len(word_pool))))
     return equation_system(ctx, ms, ws)
 
 
-def random_qid(
-    rng: random.Random,
-    ctx: FreeContext,
-    field: PrimeField,
-    bounds: SearchBounds = DEFAULT_BOUNDS,
-) -> QuasiIdentity:
-    atoms = bounded_atoms(ctx, field, bounds)
-    n = rng.randint(0, bounds.max_premises)
+def random_qid(rng: random.Random, ctx: FreeContext, field: PrimeField) -> QuasiIdentity:
+    atoms = bounded_atoms(ctx, field, DEFAULT_BOUNDS)
+    n = rng.randint(0, DEFAULT_BOUNDS.max_premises)
     premises = tuple(rng.choice(atoms) for _ in range(n))
     return QuasiIdentity(premises, rng.choice(atoms))

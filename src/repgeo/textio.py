@@ -437,22 +437,6 @@ def _parse_cyclic_factor(lineno: int, line: str, spec_text: str, caps: Enumerati
     return cyclic_group(n, gen)
 
 
-def _split_product_args(s: str) -> list[str]:
-    args, depth, cur = [], 0, []
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            args.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    args.append("".join(cur))
-    return args
-
-
 def _parse_group_block(reader: _LineReader, caps: EnumerationCaps) -> FiniteGroup:
     lineno, line = reader.require("group")
     stripped = line.strip()
@@ -482,7 +466,8 @@ def _parse_group_block(reader: _LineReader, caps: EnumerationCaps) -> FiniteGrou
         return _parse_cyclic_factor(lineno, line, spec_text, caps)
     if spec_text.startswith("product(") and spec_text.endswith(")"):
         inner = spec_text[len("product("):-1]
-        factors = [_parse_cyclic_factor(lineno, line, a, caps) for a in _split_product_args(inner)]
+        # a factor cyclic(N) [as NAME] holds no comma
+        factors = [_parse_cyclic_factor(lineno, line, a, caps) for a in inner.split(",")]
         if len(factors) < 2:
             raise _line_error(lineno, line, "at least two product factors")
         # before multiplying: building an oversized product is the expensive part
@@ -534,9 +519,7 @@ def parse_rep_file(text: str, caps: EnumerationCaps = DEFAULT_CAPS) -> Represent
     return make_representation(field, dim, group, act, caps)
 
 
-def parse_system_file(
-    text: str, field: PrimeField, caps: EnumerationCaps = DEFAULT_CAPS
-) -> tuple[FreeContext, EquationSystem]:
+def parse_system_file(text: str, field: PrimeField) -> tuple[FreeContext, EquationSystem]:
     reader = _LineReader(text)
     xvars = _names_line(reader, "xvars")[2]
     ctx = FreeContext(xvars, _names_line(reader, "yvars")[2])

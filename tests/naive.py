@@ -10,7 +10,8 @@ visiting every point of the affine space in enumeration order.  Group
 homs are checked against the whole multiplication table.  The scan
 oracle tries every premise set against every conclusion.  Two oracles are
 exceptions to the above: the pool oracle builds each element term by term
-through the package's module addition, and the rep hom oracle solves its
+through the package's module addition (its words come from raw letter
+strings reduced and ordered here), and the rep hom oracle solves its
 intertwiner equations, one block per group element, with the package's
 nullspace.  The action-law oracle multiplies every pair of matrices.  The
 separation oracle takes its homs from the package's enumerators, sorted
@@ -28,7 +29,6 @@ from repgeo import (
     GroupAtom,
     ModuleAtom,
     QuasiIdentity,
-    bounded_words,
     enumerate_group_homs,
     enumerate_rep_homs,
     identity_word,
@@ -185,10 +185,30 @@ def naive_closed_sets(signatures, natoms):
     return family
 
 
+def naive_bounded_words(ctx, max_len):
+    """Every reduced word of length <= max_len in shortlex order: each raw
+    string of letters (y-index, +1 or -1) is reduced on a stack, and the
+    results are ordered by length, then letter by letter, by y-index with
+    + before -.  reduce_word only converts the results."""
+    letters = [(v, e) for v in range(len(ctx.yvars)) for e in (1, -1)]
+    reduced = set()
+    for n in range(max_len + 1):
+        for raw in product(letters, repeat=n):
+            stack = []
+            for v, e in raw:
+                if stack and stack[-1] == (v, -e):
+                    stack.pop()
+                else:
+                    stack.append((v, e))
+            reduced.add(tuple(stack))
+    ordered = sorted(reduced, key=lambda w: (len(w), [(v, -e) for v, e in w]))
+    return [reduce_word(ctx, w) for w in ordered]
+
+
 def naive_bounded_module_elements(ctx, field, bounds):
     """The bounded pool built term by term through module addition, with
     duplicates dropped and the result sorted canonically."""
-    words = bounded_words(ctx, bounds.max_word_len)
+    words = naive_bounded_words(ctx, bounds.max_word_len)
     singles = [(x, w, c) for x in range(len(ctx.xvars)) for w in words for c in range(1, field.p)]
     out = []
     for k in range(1, bounds.max_terms + 1):
@@ -205,7 +225,7 @@ def naive_bounded_module_elements(ctx, field, bounds):
 
 
 def naive_bounded_atoms(ctx, field, bounds):
-    atoms = [GroupAtom(w) for w in bounded_words(ctx, bounds.max_word_len)]
+    atoms = [GroupAtom(w) for w in naive_bounded_words(ctx, bounds.max_word_len)]
     atoms += [ModuleAtom(u) for u in naive_bounded_module_elements(ctx, field, bounds)]
     return sorted(atoms, key=atom_key)
 

@@ -81,9 +81,11 @@ from naive import (
     canonical_to_atom_tree,
     naive_atom_mask,
     naive_bounded_atoms,
+    naive_bounded_words,
     naive_closed_sets,
     naive_fulfills,
     naive_least_violation,
+    naive_points,
     naive_scan_asymmetries,
     naive_separate,
     naive_signatures,
@@ -239,6 +241,23 @@ def _space(rep, nx, ny=1):
     return (rep.p**rep.dim) ** nx * rep.group.order**ny
 
 
+def test_enumerate_assignments_matches_naive_points():
+    # content and x-major order, and the cap at the space's size
+    rng = random.Random(20)
+    for _ in range(40):
+        rep = random_representation(rng)
+        nx, ny = rng.randint(0, 2), rng.randint(0, 2)
+        ctx = scan_context(nx, ny)
+        points = geometry.enumerate_assignments(rep, ctx)
+        assert [(a.xmap, a.ymap) for a in points] == list(naive_points(rep, ctx.xvars, ctx.yvars))
+        assert all(a.rep is rep for a in points)
+        space = _space(rep, nx, ny)
+        assert len(points) == space
+        with pytest.raises(SearchSpaceCapExceeded) as exc:
+            geometry.enumerate_assignments(rep, ctx, EnumerationCaps(max_search_space=space - 1))
+        assert (exc.value.cap, exc.value.needed) == (space - 1, space)
+
+
 @pytest.mark.parametrize("scan", [find_at_witness, find_separating_qid])
 @pytest.mark.parametrize("other,nx", [("r2", 2), ("trivial_rep", 1)])
 def test_scan_search_space_cap_edge(scan, other, nx, r1, request):
@@ -270,6 +289,12 @@ def test_bounded_words_shortlex():
     lens = [w.length() for w in ws]
     assert lens == sorted(lens)
     assert len(ws) == 1 + 2 + 2  # 1, y, y^-1, y^2, y^-2
+
+
+def test_bounded_words_match_naive_shortlex():
+    for ny, max_len in product((1, 2, 3), range(5)):
+        ctx = scan_context(1, ny)
+        assert bounded_words(ctx, max_len) == naive_bounded_words(ctx, max_len), (ny, max_len)
 
 
 @pytest.mark.parametrize("field", list(vars(DEFAULT_BOUNDS)))
@@ -518,6 +543,16 @@ def test_geo_groups_z2_v4(z2, v4):
 def test_geo_groups_z2_z3(z2):
     verdict = geo_equivalent(z2, cyclic_group(3, "c"))
     assert isinstance(verdict, NotEquivalent)
+
+
+def test_geo_skips_backward_run_once_forward_fails():
+    # Z3 -> Z2 has only the trivial hom, so the verdict is decided before
+    # Z2 -> Z3, whose 3 candidates would exceed the cap, is searched
+    z3, z2 = cyclic_group(3, "c"), cyclic_group(2, "a")
+    verdict = geo_equivalent(z3, z2, EnumerationCaps(max_hom_candidates=2))
+    assert verdict == geo_equivalent(z3, z2)
+    w = verdict.witness
+    assert (w.direction, w.sort, w.pair) == ("forward", "group", ("1", "c"))
 
 
 def test_geo_reps_r1_r2(r1, r2):

@@ -18,11 +18,11 @@ from repgeo import (
 )
 from repgeo.config import EnumerationCaps
 from repgeo.errors import EnumerationCapExceeded, InvalidInput, RepGeoError
-from repgeo.groups import _cayley_graph, _group_homs, _subgroup_chain
+from repgeo.groups import _greedy_generators, _group_homs, _subgroup_chain, generating_words
 from repgeo.sampling import general_linear_group, symmetric_group_3
 from repgeo.textio import parse_group_file
 
-from naive import naive_group_homs
+from naive import naive_generating_words, naive_group_homs
 
 
 def test_z2_from_table():
@@ -130,7 +130,7 @@ def test_table_checks_above_order_256():
     with pytest.raises(NotAGroup) as e:
         group_from_table([str(i) for i in range(n)], table)
     i, j, k = e.value.witness
-    assert e.value.reason == "associativity" and k in _cayley_graph(table)[0]
+    assert e.value.reason == "associativity" and k in _greedy_generators(table)
     assert table[table[i][j]][k] != table[i][table[j][k]]
 
 
@@ -354,7 +354,7 @@ def _relabelled(g, seed):
 
 def _chain_levels(g):
     """(G_{j-1}, G_j) for each level of the chain the greedy generators span."""
-    gens, chain = _cayley_graph(g.table)[0], [{0}]
+    gens, chain = _greedy_generators(g.table), [{0}]
     for j in range(1, len(gens) + 1):
         members, queue = {0}, [0]
         for e in queue:
@@ -402,7 +402,7 @@ def test_hom_list_is_in_generator_image_order(gname, seed):
     # image-table order is the lexicographic order of the greedy generators'
     # images; the search emits that order and nothing sorts it afterwards
     g = _relabelled(_GROUPS[gname], seed)
-    gens = _cayley_graph(g.table)[0]
+    gens = _greedy_generators(g.table)
     assert gname != "GL(2,3)" or len(gens) == 3
     for hname in ["Z2", "V4", "S3", "Z4xZ2", "GL(2,3)"]:
         images = [x.image for x in enumerate_group_homs(g, _GROUPS[hname])]
@@ -473,3 +473,21 @@ def test_subgroup_validation():
         subgroup(z4, [0, 1])  # not closed
     s = subgroup(z4, [0, 2])
     assert s.members == (0, 2)
+
+
+def test_generating_words_multiply_out():
+    # the oracle's greedy generators, and a word per element whose
+    # left-to-right product is that element
+    shuffled = _relabelled(_GROUPS["GL(2,3)"], 3)
+    groups = [shuffled, *_GROUPS.values()]
+    groups += [_relabelled(g, seed) for g in _GROUPS.values() for seed in range(8)]
+    for g in groups:
+        gens, words = generating_words(g)
+        assert gens == naive_generating_words(g)[0]
+        assert len(words) == g.order
+        for e, word in enumerate(words):
+            acc = 0
+            for pos in word:
+                acc = g.table[acc][gens[pos]]
+            assert acc == e, (g.names, e, word)
+    assert len(generating_words(shuffled)[0]) == 4

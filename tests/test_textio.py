@@ -206,6 +206,21 @@ def test_group_file_generator_name_follows_the_identifier_rule():
     assert (e.value.span, e.value.expected) == (SourceSpan(1, 1, 21), '"as NAME"')
 
 
+def test_product_factor_holding_a_comma(tmp_path, capsys):
+    # a factor cyclic(N) [as NAME] holds no comma, so a product splits at
+    # every comma and "cyclic(2" lacks its ")"
+    text = "group product(cyclic(2,3) as a, cyclic(2) as b)\n"
+    with pytest.raises(ParseError) as e:
+        parse_group_file(text)
+    assert (e.value.span, e.value.expected) == (SourceSpan(1, 1, 47), '")"')
+    path = tmp_path / "bad.grp"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--json", "check-geo-groups", str(path), str(path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outcome"] == "error"
+    assert doc["span"] == {"line": 1, "column": 1, "length": 47}
+
+
 def test_rep_file_generator_name_follows_the_identifier_rule():
     rep = parse_rep_file("field p=2\ngroup product(cyclic(2) as g², cyclic(2) as h)\n"
                          "dim 1\nact g² = [[1]]\nact h = [[1]]\nact g²·h = [[1]]\n")
