@@ -15,11 +15,12 @@ and re-check each hit through those deciders.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from operator import attrgetter, getitem, itemgetter, mul
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
 from .errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
@@ -143,11 +144,13 @@ def _least_violation(
     In an RREF basis b_1..b_k of S_y the pivots increase, so the points of
     S_y in x-major order are the coefficient tuples in lexicographic order.
     The least point outside ker M_c(y) is then b_j for the largest j with
-    b_j . M_c(y) != 0.  A group conclusion that fails at y fails at x = 0.
+    b_j . M_c(y) != 0.  A group conclusion that fails at y fails at x = 0,
+    and no nonzero x precedes (0, ..., 0, 1): either ends the search.
     """
     _check_inputs(rep, ctx, (*premises, conclusion), caps)
     p, n = rep.p, len(ctx.xvars) * rep.dim
     columns = lru_cache(_MEMO_SIZE)(partial(_columns, rep, n))
+    least = (0,) * (n - 1) + (1,)
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     for y, basis in _solution_spaces(rep, ctx, premises):
         if isinstance(conclusion, GroupAtom):
@@ -161,6 +164,8 @@ def _least_violation(
                 if best is None or b < best[0]:
                     best = (b, y)
                 break
+        if best is not None and best[0] == least:
+            break
     return None if best is None else _assignment(rep, *best)
 
 
@@ -254,14 +259,14 @@ def bounded_words(ctx: FreeContext, max_len: int) -> list[GroupWord]:
 
 
 def _ascending(groups: Sequence[Sequence[tuple[int, object]]], n: int) -> list[list[tuple]]:
-    """Entry k, for k <= n, lists every tuple of items of total weight k
-    (weights are positive) that takes at most one (weight, item) pair from
-    each group, in group order, lexicographically: a pick compares by its
-    group's place, then by its pair's place in the group."""
+    """Entry k, for k <= n, lists every concatenation of item tuples of
+    total weight k (weights are positive) that takes at most one (weight,
+    item) pair from each group, in group order, lexicographically: a pick
+    compares by its group's place, then by its pair's place in the group."""
     out: list[list[tuple]] = [[()]] + [[] for _ in range(n)]
     for group in reversed(groups):
         out = [
-            [(item, *rest) for m, item in group if m <= k for rest in out[k - m]] + out[k]
+            [item + rest for m, item in group if m <= k for rest in out[k - m]] + out[k]
             for k in range(n + 1)
         ]
     return out
@@ -276,9 +281,9 @@ def bounded_module_elements(
     (word, coeff) terms, words compared by their place in bounded_words."""
     n = bounds.max_terms
     words = bounded_words(ctx, bounds.max_word_len)
-    terms = _ascending([[(1, (w, c)) for c in range(1, field.p)] for w in words], n)
+    terms = _ascending([[(1, ((w, c),)) for c in range(1, field.p)] for w in words], n)
     rings = [(m, RingElement(ctx, field, t)) for m in range(1, n + 1) for t in terms[m]]
-    parts = _ascending([[(m, (x, ring)) for m, ring in rings] for x in range(len(ctx.xvars))], n)
+    parts = _ascending([[(m, ((x, ring),)) for m, ring in rings] for x in range(len(ctx.xvars))], n)
     return [ModuleElement(ctx, field, ps) for k in range(1, n + 1) for ps in parts[k]]
 
 
@@ -295,9 +300,9 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 # representation is one bit per point of its assignment space, built once
 # per context for all points at once and laid out y-major: block j holds
 # |V|^nx bits, one per flat x-vector in x-major order, for the j-th
-# y-point.  Atoms with the same key (words taking the same values at every
-# y-point of both sides, coefficients equal up to one nonzero scalar) have
-# the same masks, so masks are built only for the first atom of each key.
+# y-point.  Atoms with the same class key (words taking the same values at
+# every y-point of both sides, terms in any order, coefficients equal up to
+# one nonzero scalar) have the same masks, which are built once per key.
 # Atoms whose masks are equal on both sides share a column, and a point's
 # signature is the set of columns that hold there.  The scan reads
 # only each side's distinct signatures (the reduced context of formal
@@ -333,54 +338,58 @@ def _word_values(
 
 
 def _word_indicators(
-    rep: Representation, points: Sequence[tuple[int, ...]], n: int, w: GroupWord, memo: dict
+    rep: Representation, points: Sequence[tuple[int, ...]], n: int, letters: tuple, memo: dict
 ) -> dict[int, int]:
-    """For each element g that w takes, the mask with bit j * |V|^nx set
-    for each y-point j at which w takes g, from one pass over w's values."""
-    ind = memo.get(("word", w.letters))
+    """For each element g the word with these letters takes, the mask with
+    bit j * |V|^nx set at each y-point j where it takes g, in one pass."""
+    ind = memo.get(("word", letters))
     if ind is None:
-        ind = memo["word", w.letters] = {}
+        ind = memo["word", letters] = {}
         block = rep.p**n
-        for j, g in enumerate(_word_values(rep, points, w.letters, memo)):
+        for j, g in enumerate(_word_values(rep, points, letters, memo)):
             ind[g] = ind.get(g, 0) | 1 << j * block
     return ind
 
 
 def _term_levels(
-    rep: Representation, points: Sequence[tuple[int, ...]], n: int, i: int, w: GroupWord,
-    c: int, memo: dict,
-) -> list[int]:
-    """The level sets of the term c * x_i * w, memoised for every nonzero
-    coefficient (see _atom_sat_mask)."""
+    rep: Representation, points: Sequence[tuple[int, ...]], n: int, i: int, letters: tuple, memo: dict
+) -> list:
+    """The level sets of c * x_i * w, indexed by c, for the word w with
+    these letters: built once per (i, w's values), which words with equal
+    values share, and memoised under (i, letters) (see _spelled_mask)."""
     p, dim = rep.p, rep.dim
-    ones, size = (1 << p**n) - 1, p**n * len(points)
-    levels = [0] * p
-    for g, ind in _word_indicators(rep, points, n, w, memo).items():
-        for d in range(dim):
-            col = tuple(row[d] for row in rep.act[g])
-            if ("block", i, col) not in memo:  # the level sets of x_i . col on a block
-                acc = [ones] + [0] * (p - 1)
-                for k, a in enumerate(col):
-                    if a:  # add a times x's digit i * dim + k
-                        run = p ** (n - 1 - i * dim - k)
-                        repunit, inv = ones // ((1 << p * run) - 1), pow(a, -1, p)
-                        digit = [((1 << run) - 1 << r * inv % p * run) * repunit for r in range(p)]
-                        acc = _add_levels(acc, digit, range(p))
-                memo["block", i, col] = acc
-            for r, b in enumerate(memo["block", i, col]):
-                levels[r] += b * ind << d * size
-    for c2 in range(1, p):
-        inv = pow(c2, -1, p)
-        memo[i, w.letters, c2] = [levels[r * inv % p] for r in range(p)]
-    return memo[i, w.letters, c]
+    key = "levels", i, tuple(_word_values(rep, points, letters, memo))
+    if key not in memo:
+        ones, size = (1 << p**n) - 1, p**n * len(points)
+        levels = [0] * p
+        for g, ind in _word_indicators(rep, points, n, letters, memo).items():
+            for d in range(dim):
+                col = tuple(row[d] for row in rep.act[g])
+                if ("block", i, col) not in memo:  # the level sets of x_i . col on a block
+                    acc = [ones] + [0] * (p - 1)
+                    for k, a in enumerate(col):
+                        if a:  # add a times x's digit i * dim + k
+                            run = p ** (n - 1 - i * dim - k)
+                            repunit, inv = ones // ((1 << p * run) - 1), pow(a, -1, p)
+                            digit = [((1 << run) - 1 << r * inv % p * run) * repunit for r in range(p)]
+                            acc = _add_levels(acc, digit, range(p))
+                    memo["block", i, col] = acc
+                for r, b in enumerate(memo["block", i, col]):
+                    levels[r] += b * ind << d * size
+        memo[key] = [[levels[r * pow(c, -1, p) % p] for r in range(p)] if c else None
+                     for c in range(p)]
+    memo[i, letters] = memo[key]
+    return memo[key]
 
 
-def _atom_sat_mask(
-    rep: Representation, points: Sequence[tuple[int, ...]], a: Atom, memo: dict
+def _spelled_mask(
+    rep: Representation, points: Sequence[tuple[int, ...]], n: int, spelling, memo: dict
 ) -> int:
-    """The y-major mask of the assignments at the given y-points where a
-    holds, built for all points at once from level sets: the masks where a
-    linear form takes each residue mod p.
+    """The y-major mask of the assignments at the given y-points where an
+    atom holds, spelled as its word's letters (a group atom) or a list of
+    (x index, word letters, coefficient) terms, n being the flat x-length:
+    built for all points at once from level sets, the masks where a linear
+    form takes each residue mod p.
 
     A group atom holds on the whole block of each y-point at which its
     word is the identity.  A module atom u = sum_t c_t * x_(i_t) * w_t
@@ -400,16 +409,11 @@ def _atom_sat_mask(
     memo serves one representation in one scan context, with the same
     y-points on every call; its keys hold word letters, which hash faster
     than words."""
-    n = len(a.context.xvars) * rep.dim
+    if not isinstance(spelling, list):
+        return ((1 << rep.p**n) - 1) * _word_indicators(rep, points, n, spelling, memo).get(0, 0)
     size = rep.p**n * len(points)
-    if isinstance(a, GroupAtom):
-        return ((1 << rep.p**n) - 1) * _word_indicators(rep, points, n, a.word, memo).get(0, 0)
     mask = (1 << size) - 1
-    terms = [
-        memo.get((i, w.letters, c)) or _term_levels(rep, points, n, i, w, c, memo)
-        for i, r in a.element.parts
-        for w, c in r.terms
-    ]
+    terms = [(memo.get((i, w)) or _term_levels(rep, points, n, i, w, memo))[c] for i, w, c in spelling]
     if terms:
         acc = terms[0]
         for t in terms[1:-1]:
@@ -418,6 +422,16 @@ def _atom_sat_mask(
         for d in range(rep.dim):
             mask &= zero >> d * size
     return mask
+
+
+def _atom_sat_mask(
+    rep: Representation, points: Sequence[tuple[int, ...]], a: Atom, memo: dict
+) -> int:
+    """The y-major mask of the assignments at the given y-points where a
+    holds (see _spelled_mask)."""
+    spelling = a.word.letters if isinstance(a, GroupAtom) else [
+        (i, w.letters, c) for i, ring in a.element.parts for w, c in ring.terms]
+    return _spelled_mask(rep, points, len(a.context.xvars) * rep.dim, spelling, memo)
 
 
 def _signatures(masks: Sequence[int], full: int) -> list[int]:
@@ -458,64 +472,100 @@ def _same_closed_sets(sigs_r: Sequence[int], sigs_s: Sequence[int], top: int) ->
     )
 
 
+def _atom_pool(ctx: FreeContext, field, bounds: SearchBounds, qid: bool) -> list[Atom]:
+    """find_separating_qid's pool (qid: the bounded atoms and the paper's
+    witness atoms, in atom_key order) or find_at_witness's (module atoms)."""
+    if not qid:
+        return [ModuleAtom(u) for u in bounded_module_elements(ctx, field, bounds)]
+    atoms, wq = bounded_atoms(ctx, field, bounds), paper_witness_qid(ctx, field)
+    for a in (*wq.premises, wq.conclusion):
+        i = bisect_left(atoms, atom_key(a), key=atom_key)
+        if atoms[i : i + 1] != [a]:
+            atoms.insert(i, a)
+    return atoms
+
+
 def _scan_asymmetries(
     r: Representation,
     s: Representation,
     bounds: SearchBounds,
     caps: EnumerationCaps,
-    max_premises: int,
-    atom_pool: Callable[[FreeContext], list[Atom]],
+    qid: bool,
 ) -> Iterator[tuple[FreeContext, tuple[Atom, ...], Atom, bool, bool]]:
     """Every (context, premises, conclusion, implied on r, implied on s)
     where the two implications differ, in scan order: contexts by x- then
-    y-count, premise sets () then combinations of the pool by size, and
-    conclusions in pool order.
+    y-count, premise sets () then combinations of the pool
+    (_atom_pool(ctx, field, bounds, qid)) by size up to max_premises for a
+    qid or max_system otherwise, and conclusions in pool order.
 
     On r, P => c holds exactly when c's column is in cl_r(P), so P's
     asymmetries are the atoms whose column is in cl_r(P) ^ cl_s(P).  A
     context in which r and s have the same closed sets is skipped, since no
-    premise set of any size separates them."""
+    premise set of any size separates them.  That is decided on the class
+    pool, one key per multiset of (x index, word class, coefficient) terms
+    up to a scalar: a module atom has at most |k| terms of class k at an x
+    index, so the class pool has exactly the atom pool's keys and columns.
+    Only a context that is not skipped builds its atom pool."""
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
-    p = r.p
+    p, field = r.p, r.field
+    max_premises = bounds.max_premises if qid else bounds.max_system
+
+    @cache
+    def class_key(key):  # order-free, the least over nonzero scalars
+        if isinstance(key, int):
+            return key
+        return min(tuple(sorted([(i, k, c * m % p) for i, k, c in key])) for m in range(1, p))
+
     for nx in range(1, bounds.max_xvars + 1):
         for ny in range(1, bounds.max_yvars + 1):
             ctx = scan_context(nx, ny)
             for rep in (r, s):
                 _check_inputs(rep, ctx, (), caps)
-            atoms = atom_pool(ctx)
-            points_r = list(product(range(r.group.order), repeat=ny))
-            points_s = list(product(range(s.group.order), repeat=ny))
-            full_r = (1 << r.p ** (nx * r.dim) * len(points_r)) - 1
-            full_s = (1 << s.p ** (nx * s.dim) * len(points_s)) - 1
-            memo_r: dict = {}
-            memo_s: dict = {}
-            classes: dict = {}  # (values on r, values on s) -> word class
+            sides = [(rep, list(product(range(rep.group.order), repeat=ny)), nx * rep.dim, {})
+                     for rep in (r, s)]  # rep, y-points, flat x-length, memo
+            classes: dict = {}  # (values on r, values on s) -> (word class, its first letters)
             @cache
             def word_class(letters: tuple) -> int:
-                vals = (tuple(_word_values(r, points_r, letters, memo_r)),
-                        tuple(_word_values(s, points_s, letters, memo_s)))
-                return classes.setdefault(vals, len(classes))
-            col_of: dict = {}  # atom key -> column
-            cols: dict[tuple[int, int], int] = {}  # (mask on r, mask on s) -> column
-            bits = []  # per atom, its column's bit
-            for a in atoms:
+                vals = tuple(tuple(_word_values(rep, pts, letters, memo)) for rep, pts, _, memo in sides)
+                return classes.setdefault(vals, (len(classes), letters))[0]
+
+            def classed(a: Atom):  # a's class key before class_key, in a's term order
                 if isinstance(a, GroupAtom):
-                    key = word_class(a.word.letters)
-                else:  # scaled to lead with coefficient 1: c * u vanishes where u does
-                    parts = a.element.parts
-                    inv = pow(parts[0][1].terms[0][1], -1, p)
-                    key = tuple([(i, word_class(w.letters), c * inv % p) for i, ring in parts
-                                 for w, c in ring.terms])
+                    return word_class(a.word.letters)
+                return tuple([(i, word_class(w.letters), c) for i, ring in a.element.parts
+                              for w, c in ring.terms])
+
+            sizes = Counter(word_class(w.letters) for w in bounded_words(ctx, bounds.max_word_len))
+            # class k supplies at most |k| terms at x index i.  The keys come out
+            # sorted, and each has a scalar multiple that leads with coefficient 1
+            slots = [
+                [(m, tuple([(i, k, c) for c in cs])) for m in range(1, min(size, bounds.max_terms) + 1)
+                 for cs in combinations_with_replacement(range(1, p), m)]
+                for i in range(nx) for k, size in sizes.items()
+            ]
+            keys = [key for m, level in enumerate(_ascending(slots, bounds.max_terms)) if m
+                    for key in level if key[0][2] == 1]
+            if qid:
+                wq = paper_witness_qid(ctx, field)
+                keys += [*sizes, *map(classed, (*wq.premises, wq.conclusion))]
+            firsts = [letters for _, letters in classes.values()]
+            col_of: dict = {}  # class key -> column
+            cols: dict[tuple[int, int], int] = {}  # (mask on r, mask on s) -> column
+            for key in map(class_key, keys):
                 if key not in col_of:
-                    pair = _atom_sat_mask(r, points_r, a, memo_r), _atom_sat_mask(s, points_s, a, memo_s)
+                    spelling = (firsts[key] if isinstance(key, int)
+                                else [(i, firsts[k], c) for i, k, c in key])
+                    pair = tuple(_spelled_mask(rep, pts, n, spelling, memo)
+                                 for rep, pts, n, memo in sides)
                     col_of[key] = cols.setdefault(pair, len(cols))
-                bits.append(1 << col_of[key])
-            sigs_r = _signatures([m for m, _ in cols], full_r)
-            sigs_s = _signatures([m for _, m in cols], full_s)
+            sigs_r, sigs_s = (_signatures([pair[j] for pair in cols], (1 << rep.p**n * len(pts)) - 1)
+                              for j, (rep, pts, n, _) in enumerate(sides))
             top = (1 << len(cols)) - 1
             if _same_closed_sets(sigs_r, sigs_s, top):
                 continue
+            atoms = _atom_pool(ctx, field, bounds, qid)
+            bits = [1 << col_of[class_key(classed(a))] for a in atoms]  # per atom, its column's bit
             for k in range(max_premises + 1):
                 for prems in combinations(range(len(atoms)), k):
                     prem = sum({bits[i] for i in prems})  # the OR of distinct powers of 2
@@ -725,10 +775,7 @@ def find_at_witness(
     """Deterministic bounded scan over action-type systems and candidates;
     first asymmetry wins and is re-checked before return."""
 
-    def pool(ctx: FreeContext) -> list[Atom]:
-        return [ModuleAtom(u) for u in bounded_module_elements(ctx, r.field, bounds)]
-
-    for ctx, t, u, in_r, in_s in _scan_asymmetries(r, s, bounds, caps, bounds.max_system, pool):
+    for ctx, t, u, in_r, in_s in _scan_asymmetries(r, s, bounds, caps, qid=False):
         w = AtWitness(equation_system(ctx, [a.element for a in t]), u.element, in_r, in_s)
         if validate_at_witness(r, s, w, caps):
             return w
@@ -757,6 +804,7 @@ def at_equivalent(
     return Unknown(bounds)
 
 
+@cache
 def paper_witness_qid(ctx: FreeContext, field) -> QuasiIdentity:
     """The one-variable implication (x.y - x = 0) => (y = 1)."""
     y = reduce_word(ctx, [(0, 1)])
@@ -777,16 +825,7 @@ def find_separating_qid(
     disagree, scanning premises and conclusions over the bounded atom
     space.  The audit's witness implication is always in the scan."""
 
-    def pool(ctx: FreeContext) -> list[Atom]:
-        wq = paper_witness_qid(ctx, r.field)
-        atoms = bounded_atoms(ctx, r.field, bounds)
-        for a in (*wq.premises, wq.conclusion):
-            i = bisect_left(atoms, atom_key(a), key=atom_key)
-            if atoms[i : i + 1] != [a]:
-                atoms.insert(i, a)
-        return atoms
-
-    for _, prems, concl, _, _ in _scan_asymmetries(r, s, bounds, caps, bounds.max_premises, pool):
+    for _, prems, concl, _, _ in _scan_asymmetries(r, s, bounds, caps, qid=True):
         q = QuasiIdentity(prems, concl)
         # re-verify through the direct evaluator
         if fulfills_qid(r, q, caps)[0] != fulfills_qid(s, q, caps)[0]:

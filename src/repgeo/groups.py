@@ -131,8 +131,9 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
     """G x H x ..., validated once: (g_i, h_j) in G x H is named g_i·h_j, at index i |H| + j."""
     names, table = ["1"], [[0]]
     for h in factors:
+        n = h.order
         names = [_joined_name(a, b) for a in names for b in h.names]
-        table = [[ab * h.order + xy for ab in row for xy in hrow] for row in table for hrow in h.table]
+        table = [[ab * n + xy for ab in row for xy in hrow] for row in table for hrow in h.table]
     if len(set(names)) != len(names):
         raise InvalidInput("name clash in product; build the factors with distinct generator names")
     return group_from_table(names, table)

@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import product
+from math import prod
 
-from .config import DEFAULT_BOUNDS
+from .config import DEFAULT_BOUNDS, DEFAULT_CAPS
+from .errors import EnumerationCapExceeded
 from .freemod import (
     EquationSystem,
     FreeContext,
@@ -53,6 +55,8 @@ def group_catalog() -> list[FiniteGroup]:
 def general_linear_group(p: int, dim: int) -> tuple[FiniteGroup, tuple]:
     """GL(dim, p) as a Cayley-table group, identity first; returns the
     group together with the index-aligned matrix tuple."""
+    if (order := prod(p**dim - p**i for i in range(dim))) > DEFAULT_CAPS.max_group_order:
+        raise EnumerationCapExceeded(DEFAULT_CAPS.max_group_order, order, "group order")
     all_mats = []
     for flat in product(range(p), repeat=dim * dim):
         m = tuple(tuple(flat[i * dim : (i + 1) * dim]) for i in range(dim))

@@ -375,17 +375,10 @@ def test_large_pool_builds_quickly():
     assert done.stdout.split() == ["50184"]
 
 
-def test_qid_pool_adds_the_paper_atoms_in_order(monkeypatch):
-    # the pool find_separating_qid hands the scan is the bounded atoms with
-    # the paper's premise and conclusion added, in atom_key order; small
-    # bounds leave one or both out of bounded_atoms
-    pools = []
-
-    def spy(r, s, bounds, caps, max_premises, atom_pool):
-        pools.append(atom_pool)
-        return iter(())
-
-    monkeypatch.setattr(geometry, "_scan_asymmetries", spy)
+def test_qid_pool_adds_the_paper_atoms_in_order():
+    # the pool a qid scan builds in a context it does not skip is the
+    # bounded atoms with the paper's premise and conclusion added, in
+    # atom_key order; small bounds leave one or both out of bounded_atoms
     seen = set()
     for p, nx, ny, max_terms, max_word_len in product(
         (2, 3, 5), (1, 2), (1, 2), range(3), range(3)
@@ -400,7 +393,8 @@ def test_qid_pool_adds_the_paper_atoms_in_order(monkeypatch):
         wq = paper_witness_qid(ctx, field)
         paper = {*wq.premises, wq.conclusion}
         naive = naive_bounded_atoms(ctx, field, bounds)
-        assert pools.pop()(ctx) == sorted(set(naive) | paper, key=atom_key)
+        pool = geometry._atom_pool(ctx, field, bounds, qid=True)
+        assert pool == sorted(set(naive) | paper, key=atom_key)
         seen.add(len(paper - set(naive)))
     assert seen == {0, 1, 2}
 
@@ -796,6 +790,31 @@ def test_decider_solves_each_distinct_system_once(monkeypatch):
     assert not ok and (wit.xmap, wit.ymap) == expect
 
 
+def test_least_violation_stops_at_the_least_nonzero_x(monkeypatch):
+    # the conclusion first fails at x = (0, 0, 0, 1), the least nonzero
+    # x-vector, at the 17th of 256 y-points: no later y-point can give an
+    # earlier assignment, so the call visits none of the other 239
+    visited = []
+    spaces = geometry._solution_spaces
+
+    def counted(rep, ctx, premises):
+        for y, basis in spaces(rep, ctx, premises):
+            visited.append(y)
+            yield y, basis
+
+    monkeypatch.setattr(geometry, "_solution_spaces", counted)
+    rep = _diag_z4sq_rep()
+    formula = "x1*y1*y2 - x1*y2 = 0 => x2*y1 - x2 = 0"
+    ctx = infer_context(formula)
+    q = parse_qid(formula, ctx, rep.field)
+    ok, wit = fulfills_qid(rep, q)
+    trees = [canonical_to_atom_tree(ctx, a) for a in (*q.premises, q.conclusion)]
+    expect = naive_least_violation(rep, ctx.xvars, ctx.yvars, trees[:-1], trees[-1])
+    assert not ok and (wit.xmap, wit.ymap) == expect
+    assert wit.xmap == ((0, 0), (0, 1))
+    assert len(visited) == 17 and visited[-1] == wit.ymap
+
+
 def test_decider_memory_does_not_grow_with_the_space(monkeypatch):
     # Z32 acting on GF(2)^2 through parity: each of the 1,024 y-points gives
     # the premise its own term triples, 64 times the patched bound; kept
@@ -1140,17 +1159,14 @@ def test_scan_matches_naive_premise_loop():
             max_system=rng.choice((0, 1, 2)),
         )
         kind = rng.choice(("at", "qid"))
-        if kind == "at":
-            def pool(ctx):
-                return [ModuleAtom(u) for u in bounded_module_elements(ctx, r.field, bounds)]
-            max_premises = bounds.max_system
-        else:
-            def pool(ctx):
-                return bounded_atoms(ctx, r.field, bounds)
-            max_premises = bounds.max_premises
+        max_premises = bounds.max_premises if kind == "qid" else bounds.max_system
+
+        def pool(ctx):
+            return geometry._atom_pool(ctx, r.field, bounds, kind == "qid")
+
         if len(pool(scan_context(nx, ny))) > 60:
             continue
-        got = list(_scan_asymmetries(r, s, bounds, DEFAULT_CAPS, max_premises, pool))
+        got = list(_scan_asymmetries(r, s, bounds, DEFAULT_CAPS, kind == "qid"))
         expect = []
         for cx in range(1, nx + 1):
             for cy in range(1, ny + 1):
@@ -1211,12 +1227,13 @@ def _is_faithful(rep):
 
 
 def test_keyed_scan_matches_per_atom_masks(monkeypatch):
-    # the scan builds masks once per atom key (word classes over both sides,
-    # coefficients up to a scalar); its output must equal the premise loop
-    # over one mask per atom.  Scalar multiples and words equal on both
-    # sides must merge, and words equal on one side only must not: a key
-    # built from one side's values would merge atoms whose other masks
-    # differ
+    # the scan builds masks once per class key (word classes over both
+    # sides, terms in any order, coefficients up to a scalar); its output
+    # must equal the premise loop over one mask per atom.  Scalar multiples
+    # and words equal on both sides must merge, and words equal on one side
+    # only must not: a key built from one side's values would merge atoms
+    # whose other masks differ
+    spelled_mask = geometry._spelled_mask
     rng = random.Random(83)
     s3 = make_representation(
         PrimeField(2), 2, _GROUPS["S3"], dict(enumerate(general_linear_group(2, 2)[1]))
@@ -1245,24 +1262,21 @@ def test_keyed_scan_matches_per_atom_masks(monkeypatch):
             max_system=rng.choice((1, 2)),
         )
         kind = rng.choice(("at", "qid"))
-        if kind == "at":
-            def pool(ctx):
-                return [ModuleAtom(u) for u in bounded_module_elements(ctx, r.field, bounds)]
-            max_premises = bounds.max_system
-        else:
-            def pool(ctx):
-                return bounded_atoms(ctx, r.field, bounds)
-            max_premises = bounds.max_premises
+        max_premises = bounds.max_premises if kind == "qid" else bounds.max_system
+
+        def pool(ctx):
+            return geometry._atom_pool(ctx, r.field, bounds, kind == "qid")
+
         if len(pool(scan_context(nx, ny))) > 80:
             continue
         calls = []
 
-        def counted(rep, points, a, memo):
-            calls.append(a)
-            return _atom_sat_mask(rep, points, a, memo)
+        def counted(rep, points, n, spelling, memo):
+            calls.append(spelling)
+            return spelled_mask(rep, points, n, spelling, memo)
 
-        monkeypatch.setattr(geometry, "_atom_sat_mask", counted)
-        got = list(_scan_asymmetries(r, s, bounds, DEFAULT_CAPS, max_premises, pool))
+        monkeypatch.setattr(geometry, "_spelled_mask", counted)
+        got = list(_scan_asymmetries(r, s, bounds, DEFAULT_CAPS, kind == "qid"))
         monkeypatch.undo()
         expect, natoms = [], 0
         for cx in range(1, nx + 1):
@@ -1334,19 +1348,100 @@ def test_word_values_extend_prefixes(name, seed):
 
 
 def test_masks_built_once_per_atom_key(monkeypatch):
-    # the p = 3 demo pair at 2x1 has no witness; one mask per side for the
-    # first atom of each key, where one per atom would be two calls per
-    # pool atom
+    # the p = 3 demo pair at 2x1 has no witness; one mask per side for each
+    # class key, where one per atom would be two calls per pool atom
     r, s = build_demo_reps(3)
     bounds = SearchBounds(max_xvars=2)
     calls = []
+    spelled_mask = geometry._spelled_mask
 
-    def counted(rep, points, a, memo):
-        calls.append(a)
-        return _atom_sat_mask(rep, points, a, memo)
+    def counted(rep, points, n, spelling, memo):
+        calls.append(spelling)
+        return spelled_mask(rep, points, n, spelling, memo)
 
-    monkeypatch.setattr(geometry, "_atom_sat_mask", counted)
+    monkeypatch.setattr(geometry, "_spelled_mask", counted)
     assert find_at_witness(r, s, bounds) is None
     natoms = sum(len(bounded_module_elements(scan_context(nx, 1), r.field, bounds))
                  for nx in (1, 2))
-    assert len(calls) <= natoms
+    assert 0 < len(calls) <= natoms
+
+
+def test_class_pool_has_the_atom_pools_columns(monkeypatch):
+    # the columns a scan reads (one mask pair per class key of the class
+    # pool) against the distinct (mask on r, mask on s) pairs over every
+    # atom of the context's pool, in every context of both pool kinds.  A
+    # key whose first (x index, class) pair carries two terms must occur:
+    # scaling it to lead with coefficient 1 has more than one answer
+    read = []
+    signatures = geometry._signatures
+
+    def spy(masks, full):
+        read.append(list(masks))
+        return signatures(masks, full)
+
+    monkeypatch.setattr(geometry, "_signatures", spy)
+    rng = random.Random(97)
+    seen = set()
+    for case in range(90):
+        dim_r, dim_s, p, nx, ny = (
+            rng.choice(v) for v in ((1, 2, 3), (1, 2, 3), (2, 3, 5), (1, 2), (1, 2))
+        )
+        order_r = int((600 / p ** (dim_r * nx)) ** (1 / ny))
+        order_s = int((600 / p ** (dim_s * nx)) ** (1 / ny))
+        if min(order_r, order_s) < 2:
+            continue
+        draw_r, draw_s = (rng.choice((_cyclic_power_rep, _non_cyclic_rep)) for _ in "rs")
+        r, s = draw_r(rng, dim_r, p, order_r), draw_s(rng, dim_s, p, order_s)
+        if r is None or s is None:
+            continue
+        bounds = SearchBounds(
+            max_xvars=nx, max_yvars=ny, max_terms=rng.choice((1, 2, 3)),
+            max_word_len=rng.choice((0, 1, 2)), max_premises=0, max_system=0,
+        )
+        qid = rng.random() < 0.5
+        contexts = [scan_context(cx, cy) for cx in range(1, nx + 1) for cy in range(1, ny + 1)]
+        if max(len(geometry._atom_pool(ctx, r.field, bounds, qid)) for ctx in contexts) > 150:
+            continue
+        read.clear()
+        list(_scan_asymmetries(r, s, bounds, DEFAULT_CAPS, qid))
+        assert len(read) == 2 * len(contexts)
+        for ctx, cols_r, cols_s in zip(contexts, read[::2], read[1::2]):
+            atoms = geometry._atom_pool(ctx, r.field, bounds, qid)
+            masks, points = [], []
+            for rep in (r, s):
+                points.append(list(product(range(rep.group.order), repeat=len(ctx.yvars))))
+                memo = {}
+                masks.append([_atom_sat_mask(rep, points[-1], a, memo) for a in atoms])
+            cols = list(zip(cols_r, cols_s))
+            assert len(set(cols)) == len(cols)
+            assert set(cols) == set(zip(*masks))
+            for a in atoms:
+                if isinstance(a, ModuleAtom):
+                    pairs = sorted(
+                        (i, *(tuple(word_value(rep.group, y, w) for y in pts)
+                              for rep, pts in zip((r, s), points)))
+                        for i, ring in a.element.parts for w, _ in ring.terms
+                    )
+                    seen.add(("first pair carries two terms", pairs[1:2] == pairs[:1]))
+            seen |= {("dim", dim_r), ("dim", dim_s), ("p", p), ("max_terms", bounds.max_terms),
+                     ("max_word_len", bounds.max_word_len), ("nx", len(ctx.xvars)),
+                     ("ny", len(ctx.yvars)), ("qid", qid)}
+    assert seen >= {("p", 2), ("p", 3), ("p", 5), ("dim", 1), ("dim", 2), ("dim", 3)}
+    assert seen >= {("max_terms", t) for t in (1, 2, 3)}
+    assert seen >= {("max_word_len", n) for n in (0, 1, 2)}
+    assert seen >= {("nx", 2), ("ny", 2), ("qid", True), ("qid", False)}
+    assert ("first pair carries two terms", True) in seen
+
+
+def test_skipped_contexts_build_no_atom_pool(monkeypatch):
+    # the demo's Z2 swap over GF(2) against itself at 2x2, four terms of
+    # words up to length 3: the AT pool there would hold 5,166,281
+    # elements.  Every context is skipped on its class pool, so no pool is
+    # built
+    def refuse(*args):
+        raise AssertionError("atom pool built in a skipped context")
+
+    monkeypatch.setattr(geometry, "bounded_module_elements", refuse)
+    d2 = build_demo_reps(2)[0]
+    bounds = SearchBounds(max_xvars=2, max_yvars=2, max_terms=4, max_word_len=3)
+    assert find_at_witness(d2, d2, bounds) is None

@@ -19,7 +19,8 @@ from repgeo import (
 from repgeo.config import EnumerationCaps
 from repgeo.errors import EnumerationCapExceeded, InvalidInput, RepGeoError
 from repgeo.groups import _greedy_generators, _group_homs, _subgroup_chain, generating_words
-from repgeo.sampling import general_linear_group, symmetric_group_3
+from repgeo import sampling
+from repgeo.sampling import general_linear_group, random_representation, symmetric_group_3
 from repgeo.textio import parse_group_file
 
 from naive import naive_generating_words, naive_group_homs
@@ -491,3 +492,22 @@ def test_generating_words_multiply_out():
                 acc = g.table[acc][gens[pos]]
             assert acc == e, (g.names, e, word)
     assert len(generating_words(shuffled)[0]) == 4
+
+
+def test_general_linear_group_order_checked_before_building(monkeypatch):
+    # GL(3,2) and GL(3,3) have 168 and 11,232 elements, over the cap of 64;
+    # the cap is checked on the order before any matrix is examined, so the
+    # 126-million-entry table of GL(3,3) is never started
+    assert [general_linear_group(p, 2)[0].order for p in (2, 3)] == [6, 48]
+
+    def refuse(*args):
+        raise AssertionError("GL table built past the cap")
+
+    monkeypatch.setattr(sampling, "is_invertible", refuse)
+    for p, order in ((2, 168), (3, 11_232)):
+        with pytest.raises(EnumerationCapExceeded) as exc:
+            general_linear_group(p, 3)
+        assert (exc.value.cap, exc.value.needed) == (64, order)
+    for seed in range(4):
+        with pytest.raises(EnumerationCapExceeded):
+            random_representation(random.Random(seed), dims=(3,))
