@@ -4,21 +4,21 @@ equivalence deciders with re-checkable certificates.
 The affine space of a representation and a context is the finite set of
 generator assignments, guarded by caps.  Solution sets, closures and
 quasi-identities are decided one y-point at a time by linear algebra over
-GF(p), since module terms are linear in the x-variables.  The bounded
-witness scans key each atom by the values its words take on both
-representations, build one satisfaction mask per key for all points at
-once, read each representation's closure operator off its distinct point
-signatures, skip a context outright when both have the same closed sets,
-and re-check each hit through those deciders.
+GF(p), since module terms are linear in the x-variables.  In the bounded
+witness scans an atom's masks depend only on its linear form over word
+classes (words with equal values on both representations): they build
+one satisfaction mask per form for all points at once, read each
+representation's closure operator off its distinct point signatures,
+skip a context outright when both have the same closed sets, and
+re-check each hit through those deciders.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from operator import attrgetter, getitem, itemgetter, mul
 from typing import Iterator, Optional, Sequence, Union
 
@@ -300,9 +300,13 @@ def bounded_atoms(ctx: FreeContext, field, bounds: SearchBounds) -> list[Atom]:
 # representation is one bit per point of its assignment space, built once
 # per context for all points at once and laid out y-major: block j holds
 # |V|^nx bits, one per flat x-vector in x-major order, for the j-th
-# y-point.  Atoms with the same class key (words taking the same values at
-# every y-point of both sides, terms in any order, coefficients equal up to
-# one nonzero scalar) have the same masks, which are built once per key.
+# y-point.  Words of one class take equal values at every y-point of both
+# sides, so on both sides u = sum_t c_t * x_(i_t) * w_t takes the value
+# sum_(i,k) s_ik * x_i * act(w_k(y)), s_ik being the sum mod p of u's
+# coefficients on words of class k at x index i.  An atom's masks depend
+# only on its linear form over word classes: the nonzero s_ik scaled to
+# lead with 1 (u and c*u vanish together), or its word's class for a group
+# atom.  They are built once per form.
 # Atoms whose masks are equal on both sides share a column, and a point's
 # signature is the set of columns that hold there.  The scan reads
 # only each side's distinct signatures (the reduced context of formal
@@ -502,20 +506,17 @@ def _scan_asymmetries(
     asymmetries are the atoms whose column is in cl_r(P) ^ cl_s(P).  A
     context in which r and s have the same closed sets is skipped, since no
     premise set of any size separates them.  That is decided on the class
-    pool, one key per multiset of (x index, word class, coefficient) terms
-    up to a scalar: a module atom has at most |k| terms of class k at an x
-    index, so the class pool has exactly the atom pool's keys and columns.
-    Only a context that is not skipped builds its atom pool."""
+    pool of linear forms: every form with at most max_terms nonzero entries
+    that leads with 1; the zero form, when two bounded words share a class
+    and max_terms >= 2; and for a qid every class and the paper atoms'
+    forms.  Each pool atom has one of these forms and each form has a pool
+    atom, so the class pool has exactly the atom pool's columns.  Only a
+    context that is not skipped builds its atom pool, and each atom takes
+    its form's column."""
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
     p, field = r.p, r.field
     max_premises = bounds.max_premises if qid else bounds.max_system
-
-    @cache
-    def class_key(key):  # order-free, the least over nonzero scalars
-        if isinstance(key, int):
-            return key
-        return min(tuple(sorted([(i, k, c * m % p) for i, k, c in key])) for m in range(1, p))
 
     for nx in range(1, bounds.max_xvars + 1):
         for ny in range(1, bounds.max_yvars + 1):
@@ -530,29 +531,33 @@ def _scan_asymmetries(
                 vals = tuple(tuple(_word_values(rep, pts, letters, memo)) for rep, pts, _, memo in sides)
                 return classes.setdefault(vals, (len(classes), letters))[0]
 
-            def classed(a: Atom):  # a's class key before class_key, in a's term order
+            def form(a: Atom):  # a group atom's word class, a module atom's linear form
                 if isinstance(a, GroupAtom):
                     return word_class(a.word.letters)
-                return tuple([(i, word_class(w.letters), c) for i, ring in a.element.parts
-                              for w, c in ring.terms])
+                sums: dict = {}  # (x index, word class) -> coefficient sum
+                for i, ring in a.element.parts:
+                    for w, c in ring.terms:
+                        slot = i, word_class(w.letters)
+                        sums[slot] = (sums.get(slot, 0) + c) % p
+                terms = sorted((slot, c) for slot, c in sums.items() if c)
+                inv = pow(terms[0][1], -1, p) if terms else 0
+                return tuple([(i, k, c * inv % p) for (i, k), c in terms])
 
-            sizes = Counter(word_class(w.letters) for w in bounded_words(ctx, bounds.max_word_len))
-            # class k supplies at most |k| terms at x index i.  The keys come out
-            # sorted, and each has a scalar multiple that leads with coefficient 1
-            slots = [
-                [(m, tuple([(i, k, c) for c in cs])) for m in range(1, min(size, bounds.max_terms) + 1)
-                 for cs in combinations_with_replacement(range(1, p), m)]
-                for i in range(nx) for k, size in sizes.items()
-            ]
-            keys = [key for m, level in enumerate(_ascending(slots, bounds.max_terms)) if m
-                    for key in level if key[0][2] == 1]
+            words = bounded_words(ctx, bounds.max_word_len)
+            nk = len({word_class(w.letters) for w in words})  # the words' classes are 0..nk-1
+            slots = [(i, k) for i in range(nx) for k in range(nk)]
+            keys: list = [tuple([(i, k, c) for (i, k), c in zip(chosen, (1, *cs))])
+                          for m in range(1, bounds.max_terms + 1) for chosen in combinations(slots, m)
+                          for cs in product(range(1, p), repeat=m - 1)]
+            if bounds.max_terms > 1 and nk < len(words):  # c*x_i*w - c*x_i*w' for w ~ w'
+                keys.append(())
             if qid:
                 wq = paper_witness_qid(ctx, field)
-                keys += [*sizes, *map(classed, (*wq.premises, wq.conclusion))]
+                keys += [*range(nk), *map(form, (*wq.premises, wq.conclusion))]
             firsts = [letters for _, letters in classes.values()]
-            col_of: dict = {}  # class key -> column
+            col_of: dict = {}  # form -> column
             cols: dict[tuple[int, int], int] = {}  # (mask on r, mask on s) -> column
-            for key in map(class_key, keys):
+            for key in keys:
                 if key not in col_of:
                     spelling = (firsts[key] if isinstance(key, int)
                                 else [(i, firsts[k], c) for i, k, c in key])
@@ -565,7 +570,7 @@ def _scan_asymmetries(
             if _same_closed_sets(sigs_r, sigs_s, top):
                 continue
             atoms = _atom_pool(ctx, field, bounds, qid)
-            bits = [1 << col_of[class_key(classed(a))] for a in atoms]  # per atom, its column's bit
+            bits = [1 << col_of[form(a)] for a in atoms]  # per atom, its column's bit
             for k in range(max_premises + 1):
                 for prems in combinations(range(len(atoms)), k):
                     prem = sum({bits[i] for i in prems})  # the OR of distinct powers of 2

@@ -70,55 +70,6 @@ def vec_mat(p: int, v: Vector, a: Matrix) -> Vector:
     return tuple(sum(x * y for x, y in zip(v, col)) % p for col in cols)
 
 
-def rref(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [list(x % p for x in r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def rank(p: int, rows: Sequence[Sequence[int]]) -> int:
-    return len(rref(p, rows)[1])
-
-
-def _kernel_basis(p: int, red: list[list[int]], pivots: list[int], ncols: int) -> list[Vector]:
-    """The kernel of reduced rows with the given pivot columns: one vector per
-    free column, 1 there, 0 at the other free columns, in column order."""
-    bound = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc not in bound:
-            v = [0] * ncols
-            v[fc] = 1
-            for row, pc in zip(red, pivots):
-                v[pc] = -row[fc] % p
-            basis.append(tuple(v))
-    return basis
-
-
-def nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
-    """Basis of {x : M x = 0} for the equation rows M (length-ncols each)."""
-    return _kernel_basis(p, *rref(p, rows), ncols)
-
-
 def kernel_rref(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
     """The RREF basis of {x : M x = 0} from one elimination that takes its
     pivots from the last column leftwards, so that each pivot row is 0 right
@@ -145,16 +96,29 @@ def kernel_rref(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vecto
         pivots.append(c)
         if r + 1 == len(m):
             break
-    return _kernel_basis(p, m, pivots, ncols)
+    # one kernel vector per free column: 1 there, 0 at the other free columns
+    bound = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc not in bound:
+            v = [0] * ncols
+            v[fc] = 1
+            for row, pc in zip(m, pivots):
+                v[pc] = -row[fc] % p
+            basis.append(tuple(v))
+    return basis
+
+
+def nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]:
+    """Basis of {x : M x = 0} for the equation rows M (length-ncols each), in
+    the reduced form of an elimination that takes its pivots from the first
+    column rightwards: kernel_rref on the columns in reverse order."""
+    return [v[::-1] for v in reversed(kernel_rref(p, [r[::-1] for r in rows], ncols))]
 
 
 def is_invertible(p: int, a: Matrix) -> bool:
     n = len(a)
-    if n == 0:
-        return True
-    if len(a[0]) != n:
-        return False
-    return rank(p, a) == n
+    return all(len(row) == n for row in a) and not kernel_rref(p, a, n)
 
 
 def span_elements(p: int, basis: Sequence[Vector], n: int) -> Iterator[Vector]:

@@ -12,11 +12,12 @@ oracle tries every premise set against every conclusion.  Two oracles are
 exceptions to the above: the pool oracle builds each element term by term
 through the package's module addition (its words come from raw letter
 strings reduced and ordered here), and the rep hom oracle solves its
-intertwiner equations, one block per group element, with the package's
-nullspace.  The action-law oracle multiplies every pair of matrices.  The
-separation oracle takes its homs from the package's enumerators, sorted
-here, and its joint vector kernels from the package's
-kernel_of_matrix_family.
+intertwiner equations, one block per group element, with the elimination
+written out here (rref, pivots from the first column rightwards), which
+also serves as the linear algebra oracle.  The action-law oracle
+multiplies every pair of matrices.  The separation oracle takes its homs
+from the package's enumerators, sorted here, and its joint vector kernels
+from the package's kernel_of_matrix_family.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repgeo import (
 )
 from repgeo.freemod import atom_key, module_key
 from repgeo.geometry import SeparationCertificate, SeparationOutcome
-from repgeo.linalg import nullspace, span_elements
+from repgeo.linalg import span_elements
 from repgeo.reps import kernel_of_matrix_family
 
 # word trees: ("id",) | ("gen", yname) | ("mul", t, t) | ("inv", t)
@@ -393,6 +394,54 @@ def naive_group_homs(g, h):
         ):
             found.add(tuple(image))
     return sorted(found)
+
+
+# -- linear algebra over GF(p), pivots from the first column rightwards -------
+
+
+def rref(p, rows):
+    """Reduced row echelon form; returns (rows, pivot column list)."""
+    m = [list(x % p for x in r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def rank(p, rows):
+    return len(rref(p, rows)[1])
+
+
+def nullspace(p, rows, ncols):
+    """Basis of {x : M x = 0} for the equation rows M: one vector per free
+    column of the rref, 1 there, 0 at the other free columns, in column
+    order."""
+    red, pivots = rref(p, rows)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            v = [0] * ncols
+            v[fc] = 1
+            for row, pc in zip(red, pivots):
+                v[pc] = -row[fc] % p
+            basis.append(tuple(v))
+    return basis
 
 
 # -- representation homomorphisms, equations at every group element ----------

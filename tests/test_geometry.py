@@ -71,7 +71,7 @@ from repgeo.geometry import (
     _signatures,
     scan_context,
 )
-from repgeo.linalg import is_invertible, mat_identity, mat_mul, rref
+from repgeo.linalg import is_invertible, mat_identity, mat_mul
 from repgeo.reps import RepHom, Representation, check_rep_hom
 from repgeo.sampling import general_linear_group, random_qid, random_representation
 from repgeo.textio import infer_context, parse_qid
@@ -92,6 +92,7 @@ from naive import (
     naive_solutions,
     random_atom_tree,
     random_qid_trees,
+    rref,
     trees_to_qid,
 )
 from test_groups import _GROUPS, _relabelled
@@ -1347,9 +1348,37 @@ def test_word_values_extend_prefixes(name, seed):
     assert order_matters
 
 
+def _linear_forms(r, s, ctx, atoms):
+    """The distinct keys of the atoms, computed from word values: a group
+    atom's word values at every y-point of both sides, and a module atom's
+    coefficient sums mod p per (x index, word values), zero sums dropped,
+    scaled so that the first sum is 1."""
+    p = r.p
+    points = [list(product(range(rep.group.order), repeat=len(ctx.yvars))) for rep in (r, s)]
+
+    def values(w):
+        return tuple(tuple(word_value(rep.group, y, w) for y in pts)
+                     for rep, pts in zip((r, s), points))
+
+    forms = set()
+    for a in atoms:
+        if isinstance(a, GroupAtom):
+            forms.add(("group", values(a.word)))
+            continue
+        sums = {}
+        for i, ring in a.element.parts:
+            for w, c in ring.terms:
+                sums[i, values(w)] = (sums.get((i, values(w)), 0) + c) % p
+        terms = sorted((slot, c) for slot, c in sums.items() if c)
+        scale = pow(terms[0][1], p - 2, p) if terms else 0
+        forms.add(tuple((slot, c * scale % p) for slot, c in terms))
+    return forms
+
+
 def test_masks_built_once_per_atom_key(monkeypatch):
     # the p = 3 demo pair at 2x1 has no witness; one mask per side for each
-    # class key, where one per atom would be two calls per pool atom
+    # linear form over the pool, where one per atom would be two calls per
+    # pool atom
     r, s = build_demo_reps(3)
     bounds = SearchBounds(max_xvars=2)
     calls = []
@@ -1361,9 +1390,70 @@ def test_masks_built_once_per_atom_key(monkeypatch):
 
     monkeypatch.setattr(geometry, "_spelled_mask", counted)
     assert find_at_witness(r, s, bounds) is None
-    natoms = sum(len(bounded_module_elements(scan_context(nx, 1), r.field, bounds))
-                 for nx in (1, 2))
-    assert 0 < len(calls) <= natoms
+    contexts = [scan_context(nx, 1) for nx in (1, 2)]
+    natoms = sum(len(bounded_module_elements(ctx, r.field, bounds)) for ctx in contexts)
+    nforms = sum(len(_linear_forms(r, s, ctx, geometry._atom_pool(ctx, r.field, bounds, False)))
+                 for ctx in contexts)
+    assert 0 < len(calls) == 2 * nforms < natoms
+
+
+def test_masks_built_once_per_linear_form(monkeypatch):
+    # in every context, scanned or skipped, one mask per side for each
+    # distinct linear form over the context's atom pool, the forms computed
+    # from word values by _linear_forms.  The zero form (two words of one
+    # class at one x index, coefficients cancelling) must occur and be
+    # absent.  The scan reads its signatures once per side after its last
+    # mask, which marks each context's end
+    masks, per_context = [], []
+    spelled_mask, signatures = geometry._spelled_mask, geometry._signatures
+
+    def counted(rep, points, n, spelling, memo):
+        masks.append(spelling)
+        return spelled_mask(rep, points, n, spelling, memo)
+
+    def spy(cols, full):
+        per_context.append(len(masks))
+        masks.clear()
+        return signatures(cols, full)
+
+    monkeypatch.setattr(geometry, "_spelled_mask", counted)
+    monkeypatch.setattr(geometry, "_signatures", spy)
+    rng = random.Random(101)
+    seen = set()
+    for case in range(80):
+        dim_r, dim_s, p, nx, ny = (
+            rng.choice(v) for v in ((1, 2), (1, 2), (2, 3, 5), (1, 2), (1, 2))
+        )
+        order_r = int((400 / p ** (dim_r * nx)) ** (1 / ny))
+        order_s = int((400 / p ** (dim_s * nx)) ** (1 / ny))
+        if min(order_r, order_s) < 2:
+            continue
+        draw_r, draw_s = (rng.choice((_cyclic_power_rep, _non_cyclic_rep)) for _ in "rs")
+        r, s = draw_r(rng, dim_r, p, order_r), draw_s(rng, dim_s, p, order_s)
+        if r is None or s is None:
+            continue
+        bounds = SearchBounds(
+            max_xvars=nx, max_yvars=ny, max_terms=rng.choice((1, 2, 3)),
+            max_word_len=rng.choice((0, 1, 2)), max_premises=0, max_system=0,
+        )
+        qid = rng.random() < 0.5
+        contexts = [scan_context(cx, cy) for cx in range(1, nx + 1) for cy in range(1, ny + 1)]
+        pools = [geometry._atom_pool(ctx, r.field, bounds, qid) for ctx in contexts]
+        if max(map(len, pools)) > 150:
+            continue
+        per_context.clear()
+        list(_scan_asymmetries(r, s, bounds, DEFAULT_CAPS, qid))
+        assert not masks
+        assert per_context[1::2] == [0] * len(contexts)
+        forms = [_linear_forms(r, s, ctx, atoms) for ctx, atoms in zip(contexts, pools)]
+        assert per_context[::2] == [2 * len(f) for f in forms]
+        seen |= {("zero form", () in f) for f in forms}
+        seen |= {("p", p), ("max_terms", bounds.max_terms),
+                 ("max_word_len", bounds.max_word_len), ("qid", qid)}
+    assert seen >= {("p", 2), ("p", 3), ("p", 5), ("qid", True), ("qid", False)}
+    assert seen >= {("max_terms", t) for t in (1, 2, 3)}
+    assert seen >= {("max_word_len", n) for n in (0, 1, 2)}
+    assert {("zero form", True), ("zero form", False)} <= seen
 
 
 def test_class_pool_has_the_atom_pools_columns(monkeypatch):

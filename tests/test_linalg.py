@@ -1,12 +1,16 @@
 import random
 
-from repgeo.linalg import kernel_rref, nullspace, rank, rref, span_elements
+from naive import nullspace as naive_nullspace, rank, rref
+from repgeo.linalg import is_invertible, kernel_rref, nullspace, span_elements
 
 
 def test_kernel_rref_is_the_rref_of_the_kernel():
-    # one elimination from the last column leftwards against eliminating
-    # twice; the span of the basis must come out in lexicographic order.
-    # Up to 9 columns: three x-variables on GF(2)^3
+    # one elimination from the last column leftwards against the oracle's
+    # left-pivot elimination run twice, and the package's nullspace (the
+    # same elimination on the reversed columns) against the oracle's basis,
+    # and is_invertible on square shapes against the oracle's rank; the span
+    # of the basis must come out in lexicographic order.  Up to 9 columns:
+    # three x-variables on GF(2)^3
     rng = random.Random(83)
     seen = set()
     for _ in range(4000):
@@ -17,7 +21,11 @@ def test_kernel_rref_is_the_rref_of_the_kernel():
         if rows and rng.random() < 0.2:
             rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
         basis = kernel_rref(p, rows, n)
-        assert basis == [tuple(v) for v in rref(p, nullspace(p, rows, n))[0]]
+        assert basis == [tuple(v) for v in rref(p, naive_nullspace(p, rows, n))[0]]
+        assert nullspace(p, rows, n) == naive_nullspace(p, rows, n)
+        if len(rows) == n:
+            assert is_invertible(p, rows) == (rank(p, rows) == n)
+            seen.add(("square", n))
         if p ** len(basis) <= 2401:
             span = list(span_elements(p, basis, n))
             assert span == sorted(span)
@@ -27,5 +35,6 @@ def test_kernel_rref_is_the_rref_of_the_kernel():
         seen.add(("repeated row", len({tuple(r) for r in rows}) < len(rows)))
         seen.add(("full rank", bool(rows) and rank(p, rows) == n))
     assert seen >= {("p", p) for p in (2, 3, 5, 7)} | {("n", n) for n in range(10)}
+    assert seen >= {("square", n) for n in range(10)}
     for flag in ("no rows", "zero row", "repeated row", "full rank"):
         assert {(flag, True), (flag, False)} <= seen

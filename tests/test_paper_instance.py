@@ -4,12 +4,15 @@ geometrically equivalent, and that are geometrically not equivalent.
 
 R: Z4 x Z2 = <a> x <b> acts on GF(p) by a -> 1, b -> -1.
 S: Z4 = <a> acts on GF(p) by a -> -1.
+At p = 2 the pair is 2-dimensional, with J = [[1,1],[0,1]] in place of -1.
 
 A rep hom R -> S maps b to an element of order at most 2, and those (1 and
 a^2) act trivially in S, so every intertwiner kills V_R.  The separating
 quasi-identity needs the premise y^2 = 1, a group atom, which action-type
 formulas cannot state.  Every verdict is re-checked by an independent path.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -27,19 +30,38 @@ from repgeo import (
     validate_separation_certificate,
 )
 from repgeo import geometry
+from repgeo.textio import parse_group_file, parse_rep_file
 
 from naive import naive_separate
 
 
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+
+def _flip(p):
+    """The image of b in R and of a in S: -1, or J over GF(2)."""
+    return ((1, 1), (0, 1)) if p == 2 else ((p - 1,),)
+
+
 def _pair(p):
-    minus = ((p - 1,),)
-    one = ((1,),)
+    flip = _flip(p)
+    dim = len(flip)
+    one = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
     z4z2 = product_group(cyclic_group(4, "a"), cyclic_group(2, "b"))
     z4 = cyclic_group(4, "a")
     # a^i b^j sits at index 2i + j in the product
-    r = make_representation(PrimeField(p), 1, z4z2, {e: minus if e % 2 else one for e in range(1, 8)})
-    s = make_representation(PrimeField(p), 1, z4, {e: minus if e % 2 else one for e in range(1, 4)})
+    r = make_representation(PrimeField(p), dim, z4z2, {e: flip if e % 2 else one for e in range(1, 8)})
+    s = make_representation(PrimeField(p), dim, z4, {e: flip if e % 2 else one for e in range(1, 4)})
     return r, s
+
+
+def test_example_files_are_the_pair():
+    # the files the README's commands and CI run
+    r, s = _pair(3)
+    assert parse_rep_file((EXAMPLES / "r_p3.rep").read_text(encoding="utf-8")) == r
+    assert parse_rep_file((EXAMPLES / "s_p3.rep").read_text(encoding="utf-8")) == s
+    assert parse_group_file((EXAMPLES / "z4xz2.grp").read_text(encoding="utf-8")) == r.group
+    assert parse_group_file((EXAMPLES / "z4.grp").read_text(encoding="utf-8")) == s.group
 
 
 def _check_faithful_image(fi):
@@ -52,8 +74,12 @@ def _check_faithful_image(fi):
             assert fi.sigma[g.table[x][y]] == q.group.table[fi.sigma[x]][fi.sigma[y]]
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_paper_claim_instance(p, monkeypatch):
+@pytest.mark.parametrize("p,pair,qid", [
+    (2, ((0, 1), (0, 0)), "y^2 = 1 => x*(1 + y) = 0"),
+    (3, ((1,), (0,)), "y^2 = 1 => x*(1 - y) = 0"),
+    (5, ((1,), (0,)), "y^2 = 1 => x*(1 - y) = 0"),
+], ids=["2", "3", "5"])
+def test_paper_claim_instance(p, pair, qid, monkeypatch):
     r, s = _pair(p)
 
     groups = geo_equivalent(r.group, s.group)
@@ -67,7 +93,7 @@ def test_paper_claim_instance(p, monkeypatch):
     assert (chain.faithful_first.original, chain.faithful_second.original) == (r, s)
     for fi in (chain.faithful_first, chain.faithful_second):
         _check_faithful_image(fi)
-        assert fi.quotient.group.order == 2 and fi.quotient.act[1] == ((p - 1,),)
+        assert fi.quotient.group.order == 2 and fi.quotient.act[1] == _flip(p)
     quotient_geo = chain.quotient_geo.certificate
     assert validate_separation_certificate(quotient_geo.forward)
     assert validate_separation_certificate(quotient_geo.backward)
@@ -87,10 +113,10 @@ def test_paper_claim_instance(p, monkeypatch):
     geo = geo_equivalent(r, s)
     assert isinstance(geo, NotEquivalent) and pools
     w = geo.witness
-    assert (w.direction, w.sort, w.pair) == ("forward", "vector", ((1,), (0,)))
+    assert (w.direction, w.sort, w.pair) == ("forward", "vector", pair)
     naive = naive_separate(r, s)
     assert naive.certificate is None
     assert (naive.inseparable_sort, naive.inseparable_pair) == (w.sort, w.pair)
-    assert serialize_qid(w.separating_qid) == "y^2 = 1 => x*(1 - y) = 0"
+    assert serialize_qid(w.separating_qid) == qid
     assert not fulfills_qid(r, w.separating_qid)[0]
     assert fulfills_qid(s, w.separating_qid)[0]
