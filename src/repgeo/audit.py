@@ -12,7 +12,7 @@ regression flips a status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidInput
 from .freemod import Assignment, FreeContext, QuasiIdentity, eval_atom
@@ -49,7 +49,7 @@ def build_demo_reps(p: int) -> tuple[Representation, Representation]:
 
 @dataclass(frozen=True)
 class Claim:
-    claim_id: str
+    id: str
     location: str
     asserted: str
     computed: str
@@ -163,7 +163,7 @@ def paper_demo(p: int = 2) -> AuditReport:
 def render_report(report: AuditReport) -> str:
     lines = [f"counterexample audit over GF({report.p})"]
     for c in report.claims:
-        lines.append(f"{c.claim_id} {c.status}: {c.location}")
+        lines.append(f"{c.id} {c.status}: {c.location}")
         lines.append(f"    asserted: {c.asserted}")
         lines.append(f"    computed: {c.computed}")
     lines.append(f"commentary: {report.commentary}")
@@ -171,18 +171,4 @@ def render_report(report: AuditReport) -> str:
 
 
 def report_jsonable(report: AuditReport) -> dict:
-    return {
-        "p": report.p,
-        "claims": [
-            {
-                "id": c.claim_id,
-                "location": c.location,
-                "asserted": c.asserted,
-                "computed": c.computed,
-                "status": c.status,
-                "evidence": c.evidence,
-            }
-            for c in report.claims
-        ],
-        "commentary": report.commentary,
-    }
+    return asdict(report)

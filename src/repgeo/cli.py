@@ -165,17 +165,11 @@ def _escaped_names(names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(map(_escape, names))
 
 
-def _jsonable(obj):
-    """``obj`` as JSON data for ``_dumps``; group and rep homs stay as they are."""
-    if obj is None or isinstance(obj, (bool, int, str, GroupHom, RepHom)):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
+def _jsonable(obj) -> dict:
+    """One of the five result dataclasses as a dict for ``_dumps``, which
+    writes its tuples, strings and homs as they are."""
     if isinstance(obj, SeparationCertificate):
-        return {
-            "homs": [_jsonable(h) for h in obj.homs],
-            "notes": list(obj.notes),
-        }
+        return {"homs": obj.homs, "notes": obj.notes}
     if isinstance(obj, GeoCertificate):
         return {"forward": _jsonable(obj.forward), "backward": _jsonable(obj.backward)}
     if isinstance(obj, AtChainCertificate):
@@ -185,22 +179,16 @@ def _jsonable(obj):
             "quotient_geo": _jsonable(obj.quotient_geo.certificate),
         }
     if isinstance(obj, InseparabilityWitness):
-        return {
-            "direction": obj.direction,
-            "sort": obj.sort,
-            "pair": _jsonable(obj.pair),
-            "separating_qid": None
-            if obj.separating_qid is None
-            else serialize_qid(obj.separating_qid),
-        }
-    if isinstance(obj, AtWitness):
-        return {
-            "system": [serialize(u) for u in obj.system.module_part],
-            "candidate": serialize(obj.candidate),
-            "in_first": obj.in_first,
-            "in_second": obj.in_second,
-        }
-    return str(obj)
+        qid = obj.separating_qid
+        return {"direction": obj.direction, "sort": obj.sort, "pair": obj.pair,
+                "separating_qid": None if qid is None else serialize_qid(qid)}
+    assert isinstance(obj, AtWitness)
+    return {
+        "system": [serialize(u) for u in obj.system.module_part],
+        "candidate": serialize(obj.candidate),
+        "in_first": obj.in_first,
+        "in_second": obj.in_second,
+    }
 
 
 def _verdict(verdict) -> dict:

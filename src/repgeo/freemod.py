@@ -93,13 +93,18 @@ def invert_word(u: GroupWord) -> GroupWord:
 
 
 def word_key(w: GroupWord) -> tuple:
-    """Shortlex key: total length first, then expanded letters with
-    positive exponents before negative."""
-    expanded = []
-    for v, e in w.letters:
-        sign = 0 if e > 0 else 1
-        expanded.extend([(v, sign)] * abs(e))
-    return (len(expanded), tuple(expanded))
+    """Shortlex key: total length first, then the letters (v, e < 0) in
+    order, compared run by run so that no run is expanded.  A run of n
+    letters l adds l, d, -n if d else n, where d = 1 when the next run's
+    letter is greater (it has another variable, the word being reduced):
+    of two runs of l, the longer is the greater exactly when the shorter
+    goes on to a smaller letter."""
+    letters = w.letters
+    key = [sum(abs(e) for _, e in letters)]
+    for (v, e), (u, _) in zip(letters, letters[1:] + ((-1, 0),)):
+        n = abs(e)
+        key += (v, e < 0, 1, -n) if u > v else (v, e < 0, 0, n)
+    return tuple(key)
 
 
 @dataclass(frozen=True)

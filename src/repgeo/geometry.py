@@ -16,7 +16,7 @@ re-check each hit through those deciders.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from itertools import combinations, product
 from operator import attrgetter, getitem, itemgetter, mul
@@ -602,10 +602,11 @@ class SeparationCertificate:
 
 
 @dataclass(frozen=True)
-class SeparationOutcome:
-    certificate: Optional[SeparationCertificate]
-    inseparable_sort: Optional[str] = None  # "group" or "vector"
-    inseparable_pair: Optional[tuple] = None
+class InseparabilityWitness:
+    direction: str  # "forward" (source into a target power fails) or "backward"
+    sort: str  # "group" or "vector"
+    pair: tuple
+    separating_qid: Optional[QuasiIdentity] = None
 
 
 def _split_kernel(g: FiniteGroup, kernel: list[int], image: Sequence[int], label: str):
@@ -620,10 +621,13 @@ def _split_kernel(g: FiniteGroup, kernel: list[int], image: Sequence[int], label
     return [k for k in kernel if not image[k]], notes
 
 
-def separates_points(source, target, caps: EnumerationCaps = DEFAULT_CAPS) -> SeparationOutcome:
+def separates_points(
+    source, target, caps: EnumerationCaps = DEFAULT_CAPS
+) -> Union[SeparationCertificate, InseparabilityWitness]:
     """Choose homs from the in-order stream while they cut the joint kernel
     on the group elements or, for representations, on the vectors; groups
-    have no vector kernel."""
+    have no vector kernel.  Returns the certificate, or a "forward" witness:
+    a pair that no hom separates."""
     if isinstance(source, FiniteGroup) and isinstance(target, FiniteGroup):
         g, image, pair, basis = source, attrgetter("image"), "", []
         homs = _group_homs(source, target, caps)
@@ -648,10 +652,10 @@ def separates_points(source, target, caps: EnumerationCaps = DEFAULT_CAPS) -> Se
         if not kernel and not basis:
             break
     if kernel:
-        return SeparationOutcome(None, "group", (g.names[0], g.names[kernel[0]]))
+        return InseparabilityWitness("forward", "group", (g.names[0], g.names[kernel[0]]))
     if basis:
-        return SeparationOutcome(None, "vector", (basis[0], zero_vec(source.dim)))
-    return SeparationOutcome(SeparationCertificate(source, target, tuple(chosen), tuple(notes)))
+        return InseparabilityWitness("forward", "vector", (basis[0], zero_vec(source.dim)))
+    return SeparationCertificate(source, target, tuple(chosen), tuple(notes))
 
 
 def validate_separation_certificate(cert: SeparationCertificate) -> bool:
@@ -704,14 +708,6 @@ class GeoCertificate:
     backward: SeparationCertificate  # B embeds into a power of A
 
 
-@dataclass(frozen=True)
-class InseparabilityWitness:
-    direction: str  # "forward" (A into B-power fails) or "backward"
-    sort: str
-    pair: tuple
-    separating_qid: Optional[QuasiIdentity] = None
-
-
 def geo_equivalent(
     a,
     b,
@@ -722,22 +718,15 @@ def geo_equivalent(
     """Geometric equivalence via mutual embeddings into Cartesian powers,
     decided as point separation by the full hom family (exact for finite
     structures)."""
-    fwd = separates_points(a, b, caps)
-    bad, direction = fwd, "forward"
-    if fwd.certificate is not None:  # only then can the backward run decide
-        bad, direction = separates_points(b, a, caps), "backward"
-        if bad.certificate is not None:
-            return Equivalent(GeoCertificate(fwd.certificate, bad.certificate))
-    qid = None
-    if (
-        search_qid
-        and isinstance(a, Representation)
-        and isinstance(b, Representation)
-    ):
-        qid = find_separating_qid(a, b, bounds, caps)
-    return NotEquivalent(
-        InseparabilityWitness(direction, bad.inseparable_sort, bad.inseparable_pair, qid)
-    )
+    witness = separates_points(a, b, caps)
+    if isinstance(witness, SeparationCertificate):  # only then can the backward run decide
+        fwd, witness = witness, separates_points(b, a, caps)
+        if isinstance(witness, SeparationCertificate):
+            return Equivalent(GeoCertificate(fwd, witness))
+        witness = replace(witness, direction="backward")
+    if search_qid and isinstance(a, Representation) and isinstance(b, Representation):
+        witness = replace(witness, separating_qid=find_separating_qid(a, b, bounds, caps))
+    return NotEquivalent(witness)
 
 
 @dataclass(frozen=True)

@@ -17,15 +17,8 @@ Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                     73, 79, 83, 89, 97))
 
 
 @dataclass(frozen=True)
@@ -33,7 +26,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or not _is_prime(self.p) or self.p > 97:
+        if not isinstance(self.p, int) or self.p not in _PRIMES:
             raise InvalidInput(f"p={self.p} is not a prime in [2, 97]")
 
 

@@ -1,6 +1,7 @@
 """A maximally naive second route for quasi-identity checking, solution
-sets, the witness scans, the bounded pools, group hom enumeration, the
-action law of a representation and point separation by a hom family.
+sets, the witness scans, the bounded pools, the shortlex word order, group
+hom enumeration, the action law of a representation and point separation
+by a hom family.
 
 Formulas are raw syntax trees evaluated by direct recursion, with no
 canonical forms, no reduction, and no reuse of the package's term
@@ -44,7 +45,7 @@ from repgeo import (
     xgen,
 )
 from repgeo.freemod import atom_key, module_key
-from repgeo.geometry import SeparationCertificate, SeparationOutcome
+from repgeo.geometry import InseparabilityWitness, SeparationCertificate
 from repgeo.linalg import span_elements
 from repgeo.reps import kernel_of_matrix_family
 
@@ -204,6 +205,13 @@ def naive_bounded_words(ctx, max_len):
             reduced.add(tuple(stack))
     ordered = sorted(reduced, key=lambda w: (len(w), [(v, -e) for v, e in w]))
     return [reduce_word(ctx, w) for w in ordered]
+
+
+def naive_word_key(w):
+    """The shortlex key with every run expanded into its letters: length,
+    then letter by letter, by y-index with + before -."""
+    expanded = [(v, e < 0) for v, e in w.letters for _ in range(abs(e))]
+    return (len(expanded), expanded)
 
 
 def naive_bounded_module_elements(ctx, field, bounds):
@@ -530,8 +538,8 @@ def naive_separate(source, target):
             break
     if pairs:
         i, j = min(pairs)
-        return SeparationOutcome(None, "group", (group.names[i], group.names[j]))
+        return InseparabilityWitness("forward", "group", (group.names[i], group.names[j]))
     if kdim:
         v = next(v for v in kernel_of_matrix_family(source.p, mats, source.dim) if any(v))
-        return SeparationOutcome(None, "vector", (v, (0,) * source.dim))
-    return SeparationOutcome(SeparationCertificate(source, target, tuple(chosen), tuple(notes)))
+        return InseparabilityWitness("forward", "vector", (v, (0,) * source.dim))
+    return SeparationCertificate(source, target, tuple(chosen), tuple(notes))

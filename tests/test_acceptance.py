@@ -80,10 +80,10 @@ def test_acceptance_1_claim_audit(report):
     report3 = paper_demo(3)
     ok = elapsed < 5.0
     for rep in (report2, report3):
-        statuses = {c.claim_id: c.status for c in rep.claims}
+        statuses = {c.id: c.status for c in rep.claims}
         ok = ok and statuses == EXPECTED_STATUSES
     # the contradicted claims carry the exact evidence the criterion names
-    c4 = next(c for c in report2.claims if c.claim_id == "C4")
+    c4 = next(c for c in report2.claims if c.id == "C4")
     ok = ok and c4.evidence["witness"] == {"x": [[1, 1]], "y": ["a"]}
     report(1, ok)
 

@@ -160,6 +160,19 @@ def test_closure(files, capsys):
     assert code == 1 and doc["outcome"] == "non-member"
 
 
+@pytest.mark.parametrize("member, system", [
+    ("y = 1", SYS_FILE),
+    ("x = 0", SYS_FILE + "group: y^2 = 1\n"),
+], ids=["group-atom-member", "group-line-in-system"])
+def test_closure_action_type_needs_module_atom_and_action_type_system(member, system, files, tmp_path, capsys):
+    path = tmp_path / "g.sys"
+    path.write_text(system, encoding="utf-8")
+    argv = ["closure", files["r1.rep"], "--system", str(path), "--member", member, "--action-type"]
+    code, doc = _json_run(capsys, argv)
+    assert code == 3 and doc["outcome"] == "error"
+    assert "--action-type needs a module atom" in doc["error"]
+
+
 def test_faithful(files, capsys, tmp_path):
     out = tmp_path / "quot.rep"
     code, doc = _json_run(
@@ -208,6 +221,14 @@ def test_unreadable_integer_literal_exit_3(files, capsys):
     code, doc = _json_run(capsys, ["qid", files["r1.rep"], "x*y^² = 0 => y = 1"])
     assert code == 3 and doc["outcome"] == "error"
     assert doc["span"] == {"line": 1, "column": 5, "length": 1}
+
+
+def test_qid_with_a_21_digit_exponent(tmp_path, capsys):
+    # Z2 acting trivially on GF(2): y^(10^20) is y^0 = 1, and x*1 = 0 forces x = 0
+    path = tmp_path / "r.rep"
+    path.write_text("field p=2\ngroup cyclic(2) as a\ndim 1\nact a = [[1]]\n", encoding="utf-8")
+    code, doc = _json_run(capsys, ["qid", str(path), "x*y^100000000000000000000 = 0 => x = 0"])
+    assert code == 0 and doc["outcome"] == "fulfilled"
 
 
 def test_non_identifier_variable_name_exit_3(tmp_path, files, capsys):

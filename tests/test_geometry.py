@@ -65,6 +65,8 @@ from repgeo.errors import (
 from repgeo.freemod import atom_key, module_key, word_value
 from repgeo.groups import GroupHom, hom_defect
 from repgeo.geometry import (
+    InseparabilityWitness,
+    SeparationCertificate,
     _atom_sat_mask,
     _same_closed_sets,
     _scan_asymmetries,
@@ -404,29 +406,28 @@ def test_qid_pool_adds_the_paper_atoms_in_order():
 
 
 def test_separates_v4_into_z2(v4, z2):
-    out = separates_points(v4, z2)
-    cert = out.certificate
-    assert cert is not None and len(cert.homs) == 2
+    cert = separates_points(v4, z2)
+    assert isinstance(cert, SeparationCertificate) and len(cert.homs) == 2
     assert validate_separation_certificate(cert)
 
 
 def test_separates_z3_into_z2_fails(z2):
     z3 = cyclic_group(3, "c")
     out = separates_points(z3, z2)
-    assert out.certificate is None
-    assert out.inseparable_sort == "group"
-    assert out.inseparable_pair == ("1", "c")
+    assert isinstance(out, InseparabilityWitness)
+    assert out.direction == "forward" and out.separating_qid is None
+    assert out.sort == "group"
+    assert out.pair == ("1", "c")
 
 
 def test_separates_rep_identity(r1):
-    out = separates_points(r1, r1)
-    cert = out.certificate
-    assert cert is not None
+    cert = separates_points(r1, r1)
+    assert isinstance(cert, SeparationCertificate)
     assert validate_separation_certificate(cert)
 
 
 def test_validate_separation_certificate_rejects_broken_certificates(v4, z2, r1):
-    cert = separates_points(v4, z2).certificate
+    cert = separates_points(v4, z2)
     # a hom dropped: some pair of V4 is joined by every hom left
     for k in range(len(cert.homs)):
         dropped = replace(cert, homs=cert.homs[:k] + cert.homs[k + 1 :])
@@ -437,7 +438,7 @@ def test_validate_separation_certificate_rejects_broken_certificates(v4, z2, r1)
     assert not validate_separation_certificate(replace(cert, homs=cert.homs + (bad,)))
     # r1 swaps the basis of GF(2)^2.  Hom 0 (trivial beta) has kernel
     # <(1,1)>, hom 1 separates the group pair and hom 2 cuts the kernel to 0
-    rcert = separates_points(r1, r1).certificate
+    rcert = separates_points(r1, r1)
     assert validate_separation_certificate(rcert) and len(rcert.homs) == 3
     swap = rcert.homs[2]
     projection = RepHom(r1, r1, ((1, 0), (0, 0)), swap.grouphom)
@@ -466,8 +467,8 @@ def test_group_separation_matches_the_whole_list_greedy():
         for h in zoo.values():
             out = separates_points(g, h)
             assert out == naive_separate(g, h)
-            cert = out.certificate
-            seen.add("inseparable" if cert is None else min(len(cert.homs), 3))
+            seen.add("inseparable" if isinstance(out, InseparabilityWitness)
+                     else min(len(out.homs), 3))
     assert seen == {"inseparable", 0, 1, 2, 3}
 
 
@@ -482,10 +483,12 @@ def test_rep_separation_matches_the_whole_list_greedy():
     for r, s in pairs:
         out = separates_points(r, s)
         assert out == naive_separate(r, s)
-        seen.add(out.inseparable_sort)
-        if out.certificate is not None:
+        if isinstance(out, InseparabilityWitness):
+            seen.add(out.sort)
+        else:
+            seen.add(None)
             # homs chosen for group pairs and homs chosen for the vector kernel
-            notes = [n.split()[1:3] for n in out.certificate.notes]
+            notes = [n.split()[1:3] for n in out.notes]
             seen |= {tuple(sorted({kind for i, kind in notes if i == j})) for j, _ in notes}
     assert seen >= {None, "group", "vector", ("cuts",), ("separates",)}
 
@@ -519,7 +522,7 @@ def test_per_beta_cap_is_checked_on_the_betas_separation_reaches():
     caps = EnumerationCaps(max_matrices_per_beta=3)
     with pytest.raises(EnumerationCapExceeded, match="needs 9 > cap 3"):
         enumerate_rep_homs(r, s, caps)
-    cert = separates_points(r, s, caps).certificate
+    cert = separates_points(r, s, caps)
     assert [h.grouphom.image for h in cert.homs] == [(0, 1), (0, 1)]
     with pytest.raises(EnumerationCapExceeded, match="needs 3 > cap 2"):
         separates_points(r, s, EnumerationCaps(max_matrices_per_beta=2))
@@ -548,6 +551,16 @@ def test_geo_skips_backward_run_once_forward_fails():
     assert verdict == geo_equivalent(z3, z2)
     w = verdict.witness
     assert (w.direction, w.sort, w.pair) == ("forward", "group", ("1", "c"))
+
+
+def test_geo_witness_of_the_backward_run_is_marked_backward(z2):
+    # Z2 embeds in Z4, but every hom Z4 -> Z2 kills a^2; the backward run
+    # returns a "forward" witness, which geo_equivalent relabels
+    z4 = cyclic_group(4, "a")
+    assert isinstance(separates_points(z2, z4), SeparationCertificate)
+    assert separates_points(z4, z2) == InseparabilityWitness("forward", "group", ("1", "a^2"))
+    w = geo_equivalent(z2, z4).witness
+    assert (w.direction, w.sort, w.pair, w.separating_qid) == ("backward", "group", ("1", "a^2"), None)
 
 
 def test_geo_reps_r1_r2(r1, r2):
@@ -1228,12 +1241,13 @@ def _is_faithful(rep):
 
 
 def test_keyed_scan_matches_per_atom_masks(monkeypatch):
-    # the scan builds masks once per class key (word classes over both
-    # sides, terms in any order, coefficients up to a scalar); its output
-    # must equal the premise loop over one mask per atom.  Scalar multiples
-    # and words equal on both sides must merge, and words equal on one side
-    # only must not: a key built from one side's values would merge atoms
-    # whose other masks differ
+    # the scan builds masks once per linear form: per x index and word
+    # class (words with equal values on both sides), the sum of the atom's
+    # coefficients mod p, zero sums dropped, scaled to lead with 1.  Its
+    # output must equal the premise loop over one mask per atom.  Scalar
+    # multiples and words equal on both sides must merge, and words equal
+    # on one side only must not: a form over one side's classes would merge
+    # atoms whose other masks differ
     spelled_mask = geometry._spelled_mask
     rng = random.Random(83)
     s3 = make_representation(
@@ -1457,11 +1471,12 @@ def test_masks_built_once_per_linear_form(monkeypatch):
 
 
 def test_class_pool_has_the_atom_pools_columns(monkeypatch):
-    # the columns a scan reads (one mask pair per class key of the class
+    # the columns a scan reads (one mask pair per linear form of the class
     # pool) against the distinct (mask on r, mask on s) pairs over every
-    # atom of the context's pool, in every context of both pool kinds.  A
-    # key whose first (x index, class) pair carries two terms must occur:
-    # scaling it to lead with coefficient 1 has more than one answer
+    # atom of the context's pool, in every context of both pool kinds.  An
+    # atom whose first (x index, class) pair carries two terms must occur:
+    # its form's first entry is their sum, which no one term's coefficient
+    # gives and which may be zero, so that a later pair leads the form
     read = []
     signatures = geometry._signatures
 

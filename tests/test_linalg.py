@@ -1,7 +1,11 @@
 import random
+import time
+
+import pytest
 
 from naive import nullspace as naive_nullspace, rank, rref
-from repgeo.linalg import is_invertible, kernel_rref, nullspace, span_elements
+from repgeo.errors import InvalidInput
+from repgeo.linalg import PrimeField, is_invertible, kernel_rref, nullspace, span_elements
 
 
 def test_kernel_rref_is_the_rref_of_the_kernel():
@@ -38,3 +42,21 @@ def test_kernel_rref_is_the_rref_of_the_kernel():
     assert seen >= {("square", n) for n in range(10)}
     for flag in ("no rows", "zero row", "repeated row", "full rank"):
         assert {(flag, True), (flag, False)} <= seen
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 100000000000031, 1, 0, -3, 4, 99, 101, 3.0, True])
+def test_prime_field_rejects_p_outside_the_primes_below_100_at_once(p):
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidInput, match="is not a prime in"):
+        PrimeField(p)
+    assert time.perf_counter() - t0 < 0.1  # trial division took 2.7 s at p = 100000000000031
+
+
+def test_prime_field_takes_the_25_primes_below_100():
+    accepted = []
+    for p in range(200):
+        try:
+            accepted.append(PrimeField(p).p)
+        except InvalidInput:
+            pass
+    assert accepted == [p for p in range(2, 100) if all(p % d for d in range(2, p))]

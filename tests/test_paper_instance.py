@@ -12,6 +12,8 @@ quasi-identity needs the premise y^2 = 1, a group atom, which action-type
 formulas cannot state.  Every verdict is re-checked by an independent path.
 """
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,8 +117,29 @@ def test_paper_claim_instance(p, pair, qid, monkeypatch):
     w = geo.witness
     assert (w.direction, w.sort, w.pair) == ("forward", "vector", pair)
     naive = naive_separate(r, s)
-    assert naive.certificate is None
-    assert (naive.inseparable_sort, naive.inseparable_pair) == (w.sort, w.pair)
+    assert isinstance(naive, geometry.InseparabilityWitness)
+    assert (naive.sort, naive.pair) == (w.sort, w.pair)
     assert serialize_qid(w.separating_qid) == qid
     assert not fulfills_qid(r, w.separating_qid)[0]
     assert fulfills_qid(s, w.separating_qid)[0]
+
+
+def test_claim_audit_script_reports_the_instance(monkeypatch, capsys):
+    path = EXAMPLES.parent / "scripts" / "claim_audit.py"
+    spec = importlib.util.spec_from_file_location("claim_audit", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rows = script.instance_report()["verdicts"]
+    assert [(r["computed"], r["status"]) for r in rows] == [
+        ("equivalent", "CONFIRMED"), ("equivalent", "CONFIRMED"), ("not-equivalent", "CONFIRMED"),
+    ]
+    assert rows[2]["separating_qid"] == "y^2 = 1 => x*(1 - y) = 0"
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    assert script.main() == 0
+    assert "CONFIRMED: the representations are not geometrically equivalent" in capsys.readouterr().out
+    # a verdict that differs from the expected one makes the script exit 1
+    claim, decide, parse, files, _ = script.INSTANCE[2]
+    monkeypatch.setattr(script, "INSTANCE", script.INSTANCE[:2] + ((claim, decide, parse, files, "equivalent"),))
+    monkeypatch.setattr(sys, "argv", [str(path), "--json"])
+    assert script.main() == 1
+    assert '"status": "CONTRADICTED"' in capsys.readouterr().out

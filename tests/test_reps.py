@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from repgeo import (
+    DimensionMismatch,
     EnumerationCapExceeded,
     FieldMismatch,
     NotAnAction,
@@ -22,7 +23,7 @@ from repgeo import (
     stabilizer,
 )
 from repgeo import reps
-from repgeo.config import EnumerationCaps
+from repgeo.config import DEFAULT_CAPS, EnumerationCaps
 from repgeo.groups import _greedy_generators, normality_witness
 from repgeo.linalg import is_invertible, mat_identity, mat_mul
 from repgeo.reps import _rep_homs
@@ -139,6 +140,18 @@ def test_action_check_multiplies_only_at_the_generators(monkeypatch):
                               for i in range(8))
     k = len(_greedy_generators(g.table))
     assert k == 6 and 0 < len(calls) <= g.order * k
+
+
+@pytest.mark.parametrize("dim, act, error, match", [
+    (0, {"a": [[1]]}, DimensionMismatch, r"dim must be in \[1, "),
+    (DEFAULT_CAPS.max_dim + 1, {}, DimensionMismatch, r"dim must be in \[1, "),
+    (2, {"a": [[0, 1]]}, DimensionMismatch, "matrix for a is not 2x2"),
+    (2, {"a": [[0, 1], [1]]}, DimensionMismatch, "matrix for a is not 2x2"),
+    (2, {"1": [[0, 1], [1, 0]], "a": [[0, 1], [1, 0]]}, NotAnAction, None),
+], ids=["dim-0", "dim-over-cap", "one-row", "ragged", "identity-not-fixed"])
+def test_make_representation_input_errors(gf2, z2, dim, act, error, match):
+    with pytest.raises(error, match=match):
+        make_representation(gf2, dim, z2, act)
 
 
 def test_missing_matrix_rejected(gf2, v4):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from naive import naive_word_key
 
 from repgeo import (
     Assignment,
@@ -32,6 +33,7 @@ from repgeo import (
     xgen,
     ygen,
 )
+from repgeo.freemod import word_key
 
 CTX = FreeContext(("x",), ("y1", "y2"))
 GF2 = PrimeField(2)
@@ -80,6 +82,28 @@ def test_thousand_random_words_reduce_and_cancel():
         assert all(e != 0 for _, e in w.letters)
         assert all(a[0] != b[0] for a, b in zip(w.letters, w.letters[1:]))
         assert multiply_words(w, invert_word(w)).is_identity()
+
+
+def test_word_key_orders_runs_as_their_expanded_letters():
+    # the key compares runs without expanding them; the oracle expands them
+    rng = random.Random(23)
+    ctx = FreeContext(("x",), ("y1", "y2", "y3"))
+    words = {
+        reduce_word(ctx, [(rng.randrange(3), rng.choice((-3, -2, -1, 1, 2, 3)))
+                          for _ in range(rng.randrange(7))])
+        for _ in range(2000)
+    }
+    assert len(words) > 1000
+    assert sorted(words, key=word_key) == sorted(words, key=naive_word_key)
+    assert len(set(map(word_key, words))) == len(words)
+
+
+def test_word_key_does_not_expand_a_large_exponent():
+    # three words of length 10^20, in shortlex order
+    n = 10**20
+    words = [ygen(CTX, 0, n), multiply_words(ygen(CTX, 0, n - 1), ygen(CTX, 1)), ygen(CTX, 0, -n)]
+    assert [word_key(w)[0] for w in words] == [n] * 3
+    assert sorted(reversed(words), key=word_key) == words
 
 
 @given(raw_words, raw_words, raw_words)

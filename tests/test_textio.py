@@ -19,6 +19,8 @@ from repgeo import (
     bounded_atoms,
     bounded_module_elements,
     bounded_words,
+    equation_system,
+    identity_word,
     infer_context,
     parse_atom,
     parse_group_file,
@@ -27,12 +29,15 @@ from repgeo import (
     parse_system_file,
     parse_term,
     parse_word,
+    ring_from_terms,
+    ring_zero,
     serialize,
     serialize_qid,
     serialize_system,
+    ygen,
 )
 from repgeo.cli import main
-from repgeo.errors import RepGeoError
+from repgeo.errors import InvalidInput, RepGeoError
 from repgeo.sampling import random_qid, random_representation, random_system
 
 GF2 = PrimeField(2)
@@ -83,6 +88,17 @@ def test_parse_word_powers():
     w = parse_word("y^2 * y^-1", CTX)
     assert isinstance(w, GroupWord)
     assert w.letters == ((0, 1),)
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    (parse_word, "(y*z)*y", "y*z*y"),
+    (parse_term, "x*(0)", "0"),
+    (parse_term, "x*(y + 0)", "x*y"),
+])
+def test_parse_parenthesized_words_and_zero_ring_terms(parse, text, expected):
+    ctx = FreeContext(("x",), ("y", "z"))
+    args = (ctx,) if parse is parse_word else (ctx, GF3)
+    assert serialize(parse(text, *args)) == expected
 
 
 def test_infer_context():
@@ -386,6 +402,20 @@ def test_serialize_deterministic():
         a = random_qid(rng1, CTX, GF3)
         b = random_qid(rng2, CTX, GF3)
         assert serialize(a) == serialize(b)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (ring_zero(CTX, GF3), "0"),
+    (ring_from_terms(CTX, GF3, [(ygen(CTX, 0), 2), (identity_word(CTX), 1)]), "1 - y"),
+    (equation_system(CTX, group_part=[ygen(CTX, 0, 2)]), "xvars x\nyvars y\ngroup: y^2 = 1\n"),
+    (3, None),
+])
+def test_serialize_values(value, expected):
+    if expected is None:
+        with pytest.raises(InvalidInput, match="cannot serialize int"):
+            serialize(value)
+    else:
+        assert serialize(value) == expected
 
 
 def test_serialize_idempotent_on_files():
