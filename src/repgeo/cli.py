@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .audit import SUPPORTED_PRIMES, _asg_evidence, paper_demo, render_report, report_jsonable
 from .config import DEFAULT_BOUNDS, SearchBounds
-from .errors import InvalidInput, ParseError, RepGeoError
+from .errors import InvalidInput, RepGeoError
 from .freemod import ModuleAtom
 from .geometry import (
     AtChainCertificate,
@@ -363,7 +363,7 @@ def run(argv) -> int:
         payload, human = args.handler(args)
     except (RepGeoError, OSError) as e:
         payload, human = {"outcome": "error", "error": str(e)}, f"error: {e}"
-        if isinstance(e, ParseError):
+        if getattr(e, "span", None):
             payload["span"] = vars(e.span)
     payload["command"] = args.command
     payload["timing_ms"] = int((time.perf_counter() - t0) * 1000)

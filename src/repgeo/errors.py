@@ -82,4 +82,5 @@ class UnknownVariable(RepGeoError):
     def __init__(self, name: str, span=None):
         self.name = name
         self.span = span
-        super().__init__(f"unknown variable {name!r}")
+        where = f"{span.line}:{span.column}: " if span else ""
+        super().__init__(f"{where}unknown variable {name!r}")

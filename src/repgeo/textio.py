@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import prod
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .config import DEFAULT_CAPS, EnumerationCaps
 from .errors import InvalidInput, ParseError, UnknownVariable
@@ -34,6 +34,7 @@ from .freemod import (
     reduce_word,
     ring_add,
     ring_from_terms,
+    ring_one,
     ring_scale,
     ring_zero,
 )
@@ -53,11 +54,13 @@ class SourceSpan:
 # Expression tokenizer
 
 
-_SYMBOLS = ("=>", "^", "*", "+", "-", "(", ")", "=", "&")
+# One lexeme per match: a newline, other blanks, a comment, a symbol, a \w
+# run or a stray character.  \w is exactly str.isalnum() or "_", and \s is
+# str.isspace().
+_LEXEME = re.compile(r"(?P<nl>\n)|[^\S\n]+|(?P<comment>#.*)|(?P<sym>=>|[\^*+\-()=&])|(?P<run>\w+)|(?P<stray>.)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident" | "int" | symbol itself | "eof"
     text: str
     line: int
@@ -70,52 +73,31 @@ class _Token:
 
 def _tokenize(text: str, line0: int = 1, col0: int = 1) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = line0, col0
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = None
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                matched = sym
-                break
-        if matched:
-            toks.append(_Token(matched, matched, line, col))
-            i += len(matched)
-            col += len(matched)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(SourceSpan(line, col, 1), "a term token", f"{line}:{col}: stray character {c!r}")
-    toks.append(_Token("eof", "", line, col))
+    line, origin = line0, -col0  # text[i] is at column i - origin
+    m = None
+    for m in _LEXEME.finditer(text):
+        kind, lexeme, col = m.lastgroup, m[0], m.start() - origin
+        if kind == "nl":
+            line, origin = line + 1, m.start()
+        elif kind == "sym":
+            toks.append(_Token(lexeme, lexeme, line, col))
+        elif kind == "run":
+            # a run of digits comes first, so "2y" is 2 then y.  They are
+            # str.isdigit() digits, which \d is not: "y^²" reads an int
+            # that int() rejects
+            k = len(lexeme) if lexeme.isdigit() else next(i for i, c in enumerate(lexeme) if not c.isdigit())
+            if k:
+                toks.append(_Token("int", lexeme[:k], line, col))
+            if k < len(lexeme):
+                if lexeme[k].isalpha() or lexeme[k] == "_":
+                    toks.append(_Token("ident", lexeme[k:], line, col + k))
+                else:  # a \w character that begins no name, such as "½"
+                    kind, lexeme, col = "stray", lexeme[k], col + k
+        if kind == "stray":
+            raise ParseError(SourceSpan(line, col, 1), "a term token", f"{line}:{col}: stray character {lexeme!r}")
+    # a comment does not advance the column
+    end = m.start() if m and m.lastgroup == "comment" else len(text)
+    toks.append(_Token("eof", "", line, end - origin))
     return toks
 
 
@@ -141,8 +123,11 @@ class _ExprParser:
     def peek(self) -> _Token:
         return self.toks[self.pos]
 
-    def take(self) -> _Token:
+    def accept(self, kind: str) -> Optional[_Token]:
+        """The next token, consumed, if it is of ``kind``."""
         t = self.toks[self.pos]
+        if t.kind != kind:
+            return None
         self.pos += 1
         return t
 
@@ -150,55 +135,45 @@ class _ExprParser:
         raise ParseError(self.peek().span, expected)
 
     def expect(self, kind: str) -> _Token:
-        if self.peek().kind != kind:
-            self.fail(kind)
-        return self.take()
-
-    def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return self.accept(kind) or self.fail(kind)
 
     def integer(self) -> int:
         t = self.expect("int")
         return _integer(t.text, ParseError(t.span, "a decimal integer"))
 
+    def full(self, production):
+        v = production()
+        if self.peek().kind != "eof":
+            self.fail("end of input")
+        return v
+
     # -- words -------------------------------------------------------------
 
     def word(self) -> GroupWord:
-        w = self.word_factor()
-        while self.peek().kind == "*":
-            self.take()
-            w = reduce_word(self.ctx, list(w.letters) + list(self.word_factor().letters))
-        return w
+        # reduced once at the end: reducing at every "*" costs n^2 for n factors
+        letters = list(self.word_factor().letters)
+        while self.accept("*"):
+            letters += self.word_factor().letters
+        return reduce_word(self.ctx, letters)
 
     def word_factor(self) -> GroupWord:
         t = self.peek()
-        if t.kind == "int" and t.text == "1":
-            self.take()
-            return identity_word(self.ctx)
-        if t.kind == "(":
-            self.take()
+        if self.accept("("):
             w = self.word()
             self.expect(")")
             return w
-        if t.kind == "ident":
-            if t.text in self.ctx.yvars:
-                self.take()
-                e = 1
-                if self.peek().kind == "^":
-                    self.take()
-                    e = self.exponent()
-                return reduce_word(self.ctx, [(self.ctx.yindex(t.text), e)])
-            if t.text in self.ctx.xvars:
-                self.fail("a y-variable")
+        if t.kind == "ident" and t.text in self.ctx.yvars:
+            self.pos += 1
+            e = 1
+            if self.accept("^"):
+                e = -self.integer() if self.accept("-") else self.integer()
+            return reduce_word(self.ctx, [(self.ctx.yindex(t.text), e)])
+        if t.kind == "ident" and t.text not in self.ctx.xvars:
             raise UnknownVariable(t.text, t.span)
-        self.fail("a word factor")
-
-    def exponent(self) -> int:
-        neg = self.peek().kind == "-"
-        if neg:
-            self.take()
-        e = self.integer()
-        return -e if neg else e
+        if t.text != "1":  # only an int reads "1"
+            self.fail("a y-variable" if t.kind == "ident" else "a word factor")
+        self.pos += 1
+        return identity_word(self.ctx)
 
     # -- sums --------------------------------------------------------------
 
@@ -206,9 +181,8 @@ class _ExprParser:
         """[+|-] term {(+|-) term}, added up."""
         total = None
         while total is None or self.peek().kind in ("+", "-"):
-            sign = -1 if self.peek().kind == "-" else 1
-            if self.peek().kind in ("+", "-"):
-                self.take()
+            # one sign per term: "-+x" fails at the "+"
+            sign = 1 if self.accept("+") else -1 if self.accept("-") else 1
             t = scale(sign, term())
             total = t if total is None else add(total, t)
         return total
@@ -220,12 +194,11 @@ class _ExprParser:
         c = 1
         if self.peek().kind == "int" and self.toks[self.pos + 1].kind == "*":
             c = self.integer()
-            self.take()  # "*"
-        elif self.peek().kind == "int" and self.peek().text == "0":
-            self.take()
+            self.pos += 1  # "*"
+        elif self.peek().text == "0":
+            self.pos += 1
             return ring_zero(self.ctx, self.field)
-        w = self.word()
-        return ring_from_terms(self.ctx, self.field, [(w, c)])
+        return ring_from_terms(self.ctx, self.field, [(self.word(), c)])
 
     def modexpr(self) -> ModuleElement:
         return self.signed_sum(self.modterm, module_scale, module_add)
@@ -234,7 +207,7 @@ class _ExprParser:
         c = 1
         if self.peek().kind == "int":
             if self.peek().text == "0" and self.toks[self.pos + 1].kind != "*":
-                self.take()
+                self.pos += 1
                 return module_zero(self.ctx, self.field)
             c = self.integer()
             self.expect("*")
@@ -243,18 +216,15 @@ class _ExprParser:
             if t.kind == "ident" and t.text not in self.ctx.yvars:
                 raise UnknownVariable(t.text, t.span)
             self.fail("an x-variable")
-        x = self.ctx.xindex(self.take().text)
-        ring = ring_from_terms(self.ctx, self.field, [(identity_word(self.ctx), 1)])
-        if self.peek().kind == "*":
-            self.take()
-            if self.peek().kind == "(":
-                self.take()
+        self.pos += 1
+        ring = ring_one(self.ctx, self.field)
+        if self.accept("*"):
+            if self.accept("("):
                 ring = self.ringexpr()
                 self.expect(")")
             else:
-                w = self.word()
-                ring = ring_from_terms(self.ctx, self.field, [(w, 1)])
-        return module_term(self.ctx, self.field, x, ring_scale(c, ring))
+                ring = ring_from_terms(self.ctx, self.field, [(self.word(), 1)])
+        return module_term(self.ctx, self.field, self.ctx.xindex(t.text), ring_scale(c, ring))
 
     # -- atoms and quasi-identities ----------------------------------------
 
@@ -289,40 +259,32 @@ class _ExprParser:
         premises: list[Atom] = []
         if self.peek().kind != "=>":
             premises.append(self.atom())
-            while self.peek().kind == "&":
-                self.take()
+            while self.accept("&"):
                 premises.append(self.atom())
         self.expect("=>")
         concl = self.atom()
         return QuasiIdentity(tuple(premises), concl)
 
 
-def _full(parser: _ExprParser, production):
-    v = production()
-    if not parser.at_end():
-        parser.fail("end of input")
-    return v
-
-
 def parse_word(text: str, ctx: FreeContext) -> GroupWord:
     p = _ExprParser(_tokenize(text), ctx, PrimeField(2))
-    return _full(p, p.word)
+    return p.full(p.word)
 
 
 def parse_term(text: str, ctx: FreeContext, field: PrimeField):
     """A module expression or, failing that, a group word."""
     p = _ExprParser(_tokenize(text), ctx, field)
-    return p.module_or_word(lambda: _full(p, p.modexpr), lambda: _full(p, p.word))
+    return p.module_or_word(lambda: p.full(p.modexpr), lambda: p.full(p.word))
 
 
 def parse_atom(text: str, ctx: FreeContext, field: PrimeField) -> Atom:
     p = _ExprParser(_tokenize(text), ctx, field)
-    return _full(p, p.atom)
+    return p.full(p.atom)
 
 
 def parse_qid(text: str, ctx: FreeContext, field: PrimeField) -> QuasiIdentity:
     p = _ExprParser(_tokenize(text), ctx, field)
-    return _full(p, p.qid)
+    return p.full(p.qid)
 
 
 def infer_context(text: str) -> FreeContext:
@@ -339,40 +301,32 @@ def infer_context(text: str) -> FreeContext:
 # Line-oriented files
 
 
-def _logical_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for i, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            out.append((i, line))
-    return out
-
-
 def _line_error(lineno: int, line: str, expected: str) -> ParseError:
     col = len(line) - len(line.lstrip()) + 1
     return ParseError(SourceSpan(lineno, col, max(len(line.strip()), 1)), expected)
 
 
 class _LineReader:
+    """A file's lines that hold more than blanks, with their 1-based
+    numbers, read in order; a "#" comment runs to the end of its line."""
+
     def __init__(self, text: str):
-        self.lines = _logical_lines(text)
-        self.pos = 0
-
-    def peek(self) -> Optional[tuple[int, str]]:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self) -> Optional[tuple[int, str]]:
-        item = self.peek()
-        if item is not None:
-            self.pos += 1
-        return item
+        lines = [
+            (i, line)
+            for i, raw in enumerate(text.split("\n"), start=1)
+            if (line := raw.split("#", 1)[0].rstrip())
+        ]
+        self.end = lines[-1][0] + 1 if lines else 1  # a missing line is reported here
+        self.unread = iter(lines)
 
     def require(self, expected: str) -> tuple[int, str]:
-        item = self.take()
+        item = next(self.unread, None)
         if item is None:
-            last = self.lines[-1][0] + 1 if self.lines else 1
-            raise ParseError(SourceSpan(last, 1, 1), expected)
+            raise ParseError(SourceSpan(self.end, 1, 1), expected)
         return item
+
+    def rest(self) -> Iterator[tuple[int, str]]:
+        return self.unread
 
 
 def _is_identifier(name: str) -> bool:
@@ -481,9 +435,8 @@ def _parse_group_block(reader: _LineReader, caps: EnumerationCaps) -> FiniteGrou
 def parse_group_file(text: str, caps: EnumerationCaps = DEFAULT_CAPS) -> FiniteGroup:
     reader = _LineReader(text)
     g = _parse_group_block(reader, caps)
-    extra = reader.take()
-    if extra is not None:
-        raise _line_error(extra[0], extra[1], "end of file")
+    for lineno, line in reader.rest():
+        raise _line_error(lineno, line, "end of file")
     return g
 
 
@@ -501,8 +454,7 @@ def parse_rep_file(text: str, caps: EnumerationCaps = DEFAULT_CAPS) -> Represent
         raise err
     dim = _integer(parts[1], err)
     act: dict[str, list[list[int]]] = {}
-    while reader.peek() is not None:
-        lineno, line = reader.take()
+    for lineno, line in reader.rest():
         stripped = line.strip()
         if not stripped.startswith("act"):
             raise _line_error(lineno, line, '"act <element> = <matrix>"')
@@ -525,23 +477,20 @@ def parse_system_file(text: str, field: PrimeField) -> tuple[FreeContext, Equati
     ctx = FreeContext(xvars, _names_line(reader, "yvars")[2])
     module_part: list[ModuleElement] = []
     group_part: list[GroupWord] = []
-    while reader.peek() is not None:
-        lineno, line = reader.take()
+    for lineno, line in reader.rest():
         stripped = line.strip()
         head, colon, body = stripped.partition(":")
         if not colon or head not in ("module", "group"):
             raise _line_error(lineno, line, '"module:" or "group:"')
         # spans count the indentation and the "module:"/"group:" prefix
         p = _ExprParser(_tokenize(body, lineno, len(line) - len(stripped) + len(head) + 2), ctx, field)
-        a = _full(p, p.atom)
-        if head == "module":
-            if not isinstance(a, ModuleAtom):
-                raise _line_error(lineno, line, "a module equation u = 0")
+        a = p.full(p.atom)
+        if head == "module" and isinstance(a, ModuleAtom):
             module_part.append(a.element)
-        else:
-            if not isinstance(a, GroupAtom):
-                raise _line_error(lineno, line, "a group equation w = 1")
+        elif head == "group" and isinstance(a, GroupAtom):
             group_part.append(a.word)
+        else:
+            raise _line_error(lineno, line, "a module equation u = 0" if head == "module" else "a group equation w = 1")
     return ctx, equation_system(ctx, module_part, group_part)
 
 

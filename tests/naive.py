@@ -29,6 +29,7 @@ from repgeo import (
     FiniteGroup,
     FreeContext,
     GroupAtom,
+    InseparabilityWitness,
     ModuleAtom,
     QuasiIdentity,
     enumerate_group_homs,
@@ -45,7 +46,7 @@ from repgeo import (
     xgen,
 )
 from repgeo.freemod import atom_key, module_key
-from repgeo.geometry import InseparabilityWitness, SeparationCertificate
+from repgeo.geometry import SeparationCertificate
 from repgeo.linalg import span_elements
 from repgeo.reps import kernel_of_matrix_family
 

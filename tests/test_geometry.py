@@ -16,6 +16,7 @@ from repgeo import (
     PrimeField,
     FreeContext,
     GroupAtom,
+    InseparabilityWitness,
     ModuleAtom,
     NotEquivalent,
     QuasiIdentity,
@@ -65,7 +66,6 @@ from repgeo.errors import (
 from repgeo.freemod import atom_key, module_key, word_value
 from repgeo.groups import GroupHom, hom_defect
 from repgeo.geometry import (
-    InseparabilityWitness,
     SeparationCertificate,
     _atom_sat_mask,
     _same_closed_sets,

@@ -20,6 +20,7 @@ import pytest
 
 from repgeo import (
     Equivalent,
+    InseparabilityWitness,
     NotEquivalent,
     PrimeField,
     at_equivalent,
@@ -117,7 +118,7 @@ def test_paper_claim_instance(p, pair, qid, monkeypatch):
     w = geo.witness
     assert (w.direction, w.sort, w.pair) == ("forward", "vector", pair)
     naive = naive_separate(r, s)
-    assert isinstance(naive, geometry.InseparabilityWitness)
+    assert isinstance(naive, InseparabilityWitness)
     assert (naive.sort, naive.pair) == (w.sort, w.pair)
     assert serialize_qid(w.separating_qid) == qid
     assert not fulfills_qid(r, w.separating_qid)[0]

@@ -1,6 +1,8 @@
 import json
 import random
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -37,12 +39,13 @@ from repgeo import (
     ygen,
 )
 from repgeo.cli import main
-from repgeo.errors import InvalidInput, RepGeoError
+from repgeo.errors import InvalidInput, RepGeoError, UnknownVariable
 from repgeo.sampling import random_qid, random_representation, random_system
 
 GF2 = PrimeField(2)
 GF3 = PrimeField(3)
 CTX = FreeContext(("x",), ("y",))
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
 R2_FILE = """\
@@ -101,10 +104,55 @@ def test_parse_parenthesized_words_and_zero_ring_terms(parse, text, expected):
     assert serialize(parse(text, *args)) == expected
 
 
+def test_long_word_parses_in_linear_time():
+    # 12,002 factors that do not cancel: about 0.1 s when the word is reduced
+    # once, half a minute when each "*" reduces the word read so far
+    ctx = FreeContext(("x",), ("y", "z"))
+    start = time.perf_counter()
+    w = parse_word("*".join(["y", "z"] * 6000 + ["z^-1", "y^-1"]), ctx)
+    assert time.perf_counter() - start < 5
+    assert w.letters == ((0, 1), (1, 1)) * 5999
+
+
 def test_infer_context():
     ctx = infer_context("x1*y - x2 = 0 => z = 1")
     assert ctx.xvars == ("x1", "x2")
     assert set(ctx.yvars) == {"y", "z"}
+
+
+def _qid(text):
+    return serialize_qid(parse_qid(text, CTX, GF2))
+
+
+def _context(text):
+    ctx = infer_context(text)
+    return ctx.xvars, ctx.yvars
+
+
+@pytest.mark.parametrize("parse, text, expected", [
+    # a comment does not advance the column
+    (_qid, "x = # c", (ParseError, (1, 5, 1), "1:5: expected int")),
+    (_qid, "x*y^-\n# c\n = 0 => y = 1", (ParseError, (3, 2, 1), "3:2: expected int")),
+    # "½" continues a name, but begins none: it is neither a digit nor a letter
+    (_qid, "½ = 1 => y = 1", (ParseError, (1, 1, 1), "1:1: stray character '½'")),
+    (_qid, "x*y½ = 0 => y = 1", (UnknownVariable, (1, 3, 2), "1:3: unknown variable 'y½'")),
+    (_context, "2x*y½ = 0 => x1 = 0", (("x", "x1"), ("y½",))),
+    # a run of digits is read before a name
+    (_qid, "2y = 1 => y = 1", (ParseError, (1, 2, 1), "1:2: expected *")),
+    # a term takes one sign
+    (_qid, "-+x = 0 => y = 1", (ParseError, (1, 2, 1), "1:2: expected an x-variable")),
+    # "\r" is a blank, not a line break
+    (_qid, "x\r= 0 => y = 1", "x = 0 => y = 1"),
+], ids=["comment-at-end", "comment-line", "stray-half", "name-with-half", "context-with-half",
+        "digits-before-name", "two-signs", "carriage-return"])
+def test_lexer_edge_cases(parse, text, expected):
+    if not (isinstance(expected, tuple) and isinstance(expected[0], type)):
+        assert parse(text) == expected
+        return
+    error, span, message = expected
+    with pytest.raises(error) as e:
+        parse(text)
+    assert (e.value.span, str(e.value)) == (SourceSpan(*span), message)
 
 
 def test_parse_error_has_span():
@@ -168,8 +216,6 @@ def test_system_file_error_spans_are_file_positions():
             parse_system_file(head + body, GF2)
         assert (e.value.span.line, e.value.span.column) == (line, column), body
         assert str(e.value).startswith(f"{line}:{column}:")
-    from repgeo.errors import UnknownVariable
-
     with pytest.raises(UnknownVariable) as e:
         parse_system_file(head + "\n  group: q = 1\n", GF2)
     assert (e.value.span.line, e.value.span.column) == (4, 10)
@@ -247,10 +293,21 @@ def test_rep_file_generator_name_follows_the_identifier_rule():
 
 
 def test_unknown_variable():
-    from repgeo.errors import UnknownVariable
-
     with pytest.raises(UnknownVariable):
         parse_word("q", CTX)
+
+
+def test_cli_reports_an_unknown_variables_position(tmp_path, capsys):
+    # as for a ParseError: a line:column prefix, and a span in --json output
+    system = tmp_path / "t.sys"
+    system.write_text("xvars x\nyvars y\n  group: q = 1\n", encoding="utf-8")
+    argv = ["closure", str(EXAMPLES / "r_p3.rep"), "--system", str(system), "--member", "x = 0"]
+    assert main(argv) == 3
+    assert capsys.readouterr().out == "error: 3:10: unknown variable 'q'\n"
+    assert main(["--json"] + argv) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "3:10: unknown variable 'q'"
+    assert doc["span"] == {"line": 3, "column": 10, "length": 1}
 
 
 # -- files -------------------------------------------------------------------
@@ -430,7 +487,7 @@ def test_fuzz_expression_parser_no_crash():
     from repgeo.errors import RepGeoError
 
     rng = random.Random(99)
-    alphabet = "xy*^+-()=>& 0123456789#\n\t qz[²١é "
+    alphabet = "xy*^+-()=>& 0123456789#\n\t qz[²١é ½\r\x0b"
     for _ in range(3000):
         s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 25)))
         try:
