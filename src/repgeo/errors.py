@@ -18,9 +18,8 @@ class InvalidInput(RepGeoError):
 class NotAGroup(RepGeoError):
     """A Cayley table failed validation.
 
-    reason is one of "identity", "latin-square", "associativity",
-    "inverse"; witness is a concrete index tuple demonstrating the
-    failure.
+    reason is one of "identity", "latin-square", "associativity";
+    witness is a concrete index tuple demonstrating the failure.
     """
 
     def __init__(self, reason: str, witness, message: str = ""):

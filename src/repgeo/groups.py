@@ -20,8 +20,9 @@ class FiniteGroup:
     """A finite group given by element names and a full Cayley table.
 
     Index 0 is the identity.  table[i][j] is the index of g_i * g_j.
-    Instances are produced by group_from_table and friends and are
-    always fully validated.
+    group_from_table validates a table that comes from outside in full;
+    cyclic_group, product_group, quotient_group and GL(dim, p) build
+    theirs from the definition, with no re-validation.
     """
 
     names: tuple[str, ...]
@@ -102,20 +103,23 @@ def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fi
                 if [col[x] for x in row] != [row[x] for x in col]:
                     j = next(j for j in range(n) if col[row[j]] != row[col[j]])
                     raise NotAGroup("associativity", (i, j, k))
-    # two-sided inverses: a row's 0 sits where its column's does
-    inverses = tuple(map(tuple.index, rows, repeat(0)))
-    if inverses != tuple(map(tuple.index, cols, repeat(0))):
-        i = next(i for i, j in enumerate(inverses) if rows[j][i] != 0)
-        raise NotAGroup("inverse", (i, inverses[i]))
-    return FiniteGroup(names, rows, inverses)
+    # a right inverse, read off the row, is two-sided in a group
+    return _group(names, rows)
+
+
+def _group(names: Sequence[str], rows: Sequence[Sequence[int]]) -> FiniteGroup:
+    """The group of a table that is one by construction, not re-validated."""
+    rows = tuple(map(tuple, rows))
+    return FiniteGroup(tuple(names), rows, tuple(map(tuple.index, rows, repeat(0))))
 
 
 def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:
     if n < 1:
         raise InvalidInput("order must be >= 1")
     names = ["1"] + [gen if k == 1 else f"{gen}^{k}" for k in range(1, n)]
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return group_from_table(names, table)
+    if len(set(names)) != n:
+        raise InvalidInput("element names not distinct")
+    return _group(names, [tuple(range(i, n)) + tuple(range(i)) for i in range(n)])
 
 
 def trivial_group() -> FiniteGroup:
@@ -128,7 +132,7 @@ def _joined_name(a: str, b: str) -> str:
 
 
 def product_group(*factors: FiniteGroup) -> FiniteGroup:
-    """G x H x ..., validated once: (g_i, h_j) in G x H is named g_i·h_j, at index i |H| + j."""
+    """G x H x ..., built by definition: (g_i, h_j) in G x H is named g_i·h_j, at index i |H| + j."""
     names, table = ["1"], [[0]]
     for h in factors:
         n = h.order
@@ -136,7 +140,7 @@ def product_group(*factors: FiniteGroup) -> FiniteGroup:
         table = [[ab * n + xy for ab in row for xy in hrow] for row in table for hrow in h.table]
     if len(set(names)) != len(names):
         raise InvalidInput("name clash in product; build the factors with distinct generator names")
-    return group_from_table(names, table)
+    return _group(names, table)
 
 
 @dataclass(frozen=True)
@@ -181,25 +185,19 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, tuple[int,
     """Quotient by a normal subgroup; returns (G/N, sigma).
 
     Cosets are indexed by minimal member; sigma maps each element of G
-    to its coset index.
+    to its coset index.  N's members are checked to form a subgroup, as
+    a Subgroup can be built without subgroup().
     """
     w = normality_witness(g, n)
     if w is not None:
         raise NotNormal(*w)
-    coset_of: dict[int, frozenset[int]] = {}
-    for a in range(g.order):
-        coset_of[a] = frozenset(g.table[a][m] for m in n.members)
-    reps = sorted({min(c) for c in coset_of.values()})
+    subgroup(g, n.members)
+    least = [min(map(row.__getitem__, n.members)) for row in g.table]  # of the coset aN
+    reps = sorted(set(least))
     coset_index = {r: k for k, r in enumerate(reps)}
-    sigma = tuple(coset_index[min(coset_of[a])] for a in range(g.order))
-    names = tuple(
-        "1" if r == 0 else f"[{g.names[r]}]" for r in reps
-    )
-    table = [
-        [sigma[g.table[r1][r2]] for r2 in reps]
-        for r1 in reps
-    ]
-    return group_from_table(names, table), sigma
+    sigma = tuple(map(coset_index.__getitem__, least))
+    names = ["1"] + [f"[{g.names[r]}]" for r in reps[1:]]
+    return _group(names, [[sigma[g.table[r1][r2]] for r2 in reps] for r1 in reps]), sigma
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from .errors import (
     FieldMismatch,
     InvalidInput,
     NotAnAction,
-    RepGeoError,
 )
 from .groups import (
     FiniteGroup,
@@ -116,13 +115,14 @@ def stabilizer(rep: Representation, v: Vector) -> Subgroup:
 
 
 def rep_kernel(rep: Representation) -> Subgroup:
-    """Elements acting as the identity matrix.
+    """Elements acting as the identity matrix: the kernel of a hom, so a
+    subgroup as it stands.
 
     By linearity this equals the intersection of all stabilizers; the
     equality is exercised in the test suite by brute force.
     """
     ident = mat_identity(rep.dim)
-    return subgroup(rep.group, [g for g in range(rep.group.order) if rep.act[g] == ident])
+    return Subgroup(rep.group, tuple(g for g in range(rep.group.order) if rep.act[g] == ident))
 
 
 @dataclass(frozen=True)
@@ -133,18 +133,13 @@ class FaithfulImage:
 
 
 def faithful_image(rep: Representation) -> FaithfulImage:
-    n = rep_kernel(rep)
-    q, sigma = quotient_group(rep.group, n)
-    # all members of a coset act identically because kernel members act as I
+    """G/ker acting on V: a coset acts as any of its members, as the kernel
+    acts as I, so the quotient is an action with trivial kernel by definition."""
+    q, sigma = quotient_group(rep.group, rep_kernel(rep))
     act: dict[int, Matrix] = {}
-    for g in range(rep.group.order):
-        if act.setdefault(sigma[g], rep.act[g]) != rep.act[g]:
-            raise RepGeoError("coset action not well-defined")
-    quotient = make_representation(
-        rep.field, rep.dim, q, {c: m for c, m in act.items() if c != 0}
-    )
-    if rep_kernel(quotient).order != 1:
-        raise RepGeoError("faithful image has a nontrivial kernel")
+    for g, c in enumerate(sigma):
+        act.setdefault(c, rep.act[g])
+    quotient = Representation(rep.field, rep.dim, q, tuple(map(act.__getitem__, range(q.order))))
     return FaithfulImage(rep, quotient, sigma)
 
 

@@ -21,7 +21,7 @@ from .freemod import (
     equation_system,
 )
 from .geometry import bounded_atoms, bounded_module_elements, bounded_words
-from .groups import FiniteGroup, cyclic_group, enumerate_group_homs, group_from_table, product_group
+from .groups import FiniteGroup, _group, cyclic_group, enumerate_group_homs, group_from_table, product_group
 from .linalg import PrimeField, is_invertible, mat_mul
 from .reps import Representation, make_representation
 
@@ -53,8 +53,9 @@ def group_catalog() -> list[FiniteGroup]:
 
 @lru_cache(maxsize=None)
 def general_linear_group(p: int, dim: int) -> tuple[FiniteGroup, tuple]:
-    """GL(dim, p) as a Cayley-table group, identity first; returns the
-    group together with the index-aligned matrix tuple."""
+    """GL(dim, p) as a Cayley-table group, identity first, built from the
+    matrix products with no re-validation; returns the group together
+    with the index-aligned matrix tuple."""
     if (order := prod(p**dim - p**i for i in range(dim))) > DEFAULT_CAPS.max_group_order:
         raise EnumerationCapExceeded(DEFAULT_CAPS.max_group_order, order, "group order")
     all_mats = []
@@ -69,7 +70,7 @@ def general_linear_group(p: int, dim: int) -> tuple[FiniteGroup, tuple]:
     idx = {m: i for i, m in enumerate(all_mats)}
     names = ["1"] + [f"m{i}" for i in range(1, len(all_mats))]
     table = [[idx[mat_mul(p, a, b)] for b in all_mats] for a in all_mats]
-    return group_from_table(names, table), tuple(all_mats)
+    return _group(names, table), tuple(all_mats)
 
 
 @lru_cache(maxsize=None)

@@ -1,12 +1,14 @@
 import random
 import re
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import pytest
 
 from repgeo import (
     NotAGroup,
     NotNormal,
+    Subgroup,
     cyclic_group,
     enumerate_group_homs,
     group_from_table,
@@ -20,7 +22,7 @@ from repgeo.config import EnumerationCaps
 from repgeo.errors import EnumerationCapExceeded, InvalidInput, RepGeoError
 from repgeo.groups import _greedy_generators, _group_homs, _subgroup_chain, generating_words
 from repgeo import sampling
-from repgeo.sampling import general_linear_group, random_representation, symmetric_group_3
+from repgeo.sampling import general_linear_group, group_catalog, random_representation, symmetric_group_3
 from repgeo.textio import parse_group_file
 
 from naive import naive_generating_words, naive_group_homs
@@ -124,7 +126,8 @@ def test_table_takes_in_range_bools_as_ints():
 
 def test_table_checks_above_order_256():
     # beyond 256 elements Light's test runs as the row-major sweep alone
-    assert cyclic_group(300).inverses[1:4] == (299, 298, 297)
+    z300 = cyclic_group(300)
+    assert group_from_table(z300.names, z300.table).inverses[1:4] == (299, 298, 297)
     n = 5 * 60  # the loop of order 5 times Z60 is a loop, not a group
     table = [[_LOOP5[a][b] * 60 + (x + y) % 60 for b in range(5) for y in range(60)]
              for a in range(5) for x in range(60)]
@@ -191,6 +194,49 @@ def test_cyclic_tables():
     assert z4.inverses[2] == 2  # g^2 is self-inverse
 
 
+# the constructors build their tables by definition; group_from_table, which
+# validates in full, is their oracle
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_cyclic_group_is_its_validated_table(n):
+    g = cyclic_group(n)
+    assert g == group_from_table(g.names, g.table)
+
+
+def test_cyclic_group_rejects_clashing_names():
+    assert cyclic_group(1, "1").names == ("1",)
+    with pytest.raises(InvalidInput, match="element names not distinct"):
+        cyclic_group(2, "1")
+
+
+_CATALOG = group_catalog()
+
+
+def _catalog_products():
+    """Every ordered pair and triple of catalog groups with order <= 64
+    whose generator names are distinct."""
+    for k in (2, 3):
+        for keys in product(range(len(_CATALOG)), repeat=k):
+            gens = [set(_CATALOG[i].names) - {"1"} for i in keys]
+            if prod(_CATALOG[i].order for i in keys) <= 64 and all(
+                    a.isdisjoint(b) for a, b in combinations(gens, 2)):
+                yield keys
+
+
+@pytest.mark.parametrize("keys", list(_catalog_products()), ids=str)
+def test_product_group_is_its_validated_table(keys):
+    g = product_group(*map(_CATALOG.__getitem__, keys))
+    assert g == group_from_table(g.names, g.table)
+
+
+@pytest.mark.parametrize("p, dim", [(2, 2), (3, 2)])
+def test_general_linear_group_is_its_validated_table(p, dim):
+    g, mats = general_linear_group.__wrapped__(p, dim)
+    assert g == group_from_table(g.names, g.table)
+    assert mats[0] == ((1, 0), (0, 1)) and len(set(mats)) == g.order
+
+
 def test_product_klein_four():
     v4 = product_group(cyclic_group(2, "a"), cyclic_group(2, "b"))
     assert v4.order == 4
@@ -254,6 +300,17 @@ def test_quotient_requires_normal():
     h = subgroup(g, [0, 1])  # a transposition: not normal
     with pytest.raises(NotNormal):
         quotient_group(g, h)
+
+
+def test_quotient_rejects_members_that_are_not_a_subgroup():
+    # a Subgroup built without subgroup() is checked before its cosets
+    z4 = cyclic_group(4)
+    for members, message in [((0, 1), "not inverse-closed at element 1"),
+                             ((), "subgroup must contain the identity"),
+                             ((0, 1, 3), "not closed under product at (1,1)")]:
+        with pytest.raises(RepGeoError) as e:
+            quotient_group(z4, Subgroup(z4, members))
+        assert (type(e.value), str(e.value)) == (InvalidInput, message)
 
 
 def _naive_hom_count(g, h):

@@ -16,11 +16,14 @@ from repgeo import (
     enumerate_group_homs,
     enumerate_rep_homs,
     faithful_image,
+    group_from_table,
     make_representation,
     product_group,
+    quotient_group,
     rep_isomorphic,
     rep_kernel,
     stabilizer,
+    subgroup,
 )
 from repgeo import reps
 from repgeo.config import DEFAULT_CAPS, EnumerationCaps
@@ -193,6 +196,24 @@ def test_faithful_image_of_r2(r1, r2):
     for g in range(r2.group.order):
         for v in r2.vectors():
             assert fi.quotient.apply(v, fi.sigma[g]) == r2.apply(v, g)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_faithful_image_is_its_validated_rebuild(seed):
+    # the kernel, the quotient group and the quotient action are built by
+    # definition; the validating constructors are their oracle
+    rng = random.Random(seed)
+    for _ in range(25):
+        rep = random_representation(rng)
+        kernel = rep_kernel(rep)
+        assert kernel == subgroup(rep.group, kernel.members)
+        q, sigma = quotient_group(rep.group, kernel)
+        assert q == group_from_table(q.names, q.table)
+        fi = faithful_image(rep)
+        assert (fi.quotient.group, fi.sigma) == (q, sigma)
+        assert fi.quotient == make_representation(rep.field, rep.dim, q, dict(enumerate(fi.quotient.act)))
+        assert rep_kernel(fi.quotient).order == 1
+        assert all(fi.quotient.act[c] == rep.act[g] for g, c in enumerate(sigma))
 
 
 def test_faithful_image_fixed_points(r1, trivial_rep):
