@@ -346,7 +346,8 @@ def word_value(group: FiniteGroup, ymap: tuple[int, ...], w: GroupWord) -> int:
     """The element w takes when the y-variables map to ymap."""
     acc = 0
     for v, e in w.letters:
-        acc = group.table[acc][group.power(ymap[v], e)]
+        g = ymap[v] if e == 1 else group.inverses[ymap[v]] if e == -1 else group.power(ymap[v], e)
+        acc = group.table[acc][g]
     return acc
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from itertools import combinations, product
 from operator import attrgetter, getitem, itemgetter, mul
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
 from .errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
@@ -115,20 +115,21 @@ def _columns(
 
 def _solution_spaces(
     rep: Representation, ctx: FreeContext, premises: Sequence[Atom]
-) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
-    """(y, S_y) for each y-point, in order, at which the group premises
-    hold: S_y is the subspace of flat x-vectors solving the module
-    premises, as its unique basis in reduced row echelon form, which
-    ``kernel_rref`` finds with one elimination per distinct system."""
+) -> Iterator[tuple[tuple[int, ...], Callable[[], list[tuple[int, ...]]]]]:
+    """(y, space) for each y-point, in order, at which the group premises
+    hold: space() is S_y, the subspace of flat x-vectors solving the module
+    premises, as its unique basis in reduced row echelon form, eliminated
+    on that call by ``kernel_rref`` once per distinct system."""
     n = len(ctx.xvars) * rep.dim
     words = [a.word for a in premises if isinstance(a, GroupAtom)]
     elems = [a.element for a in premises if isinstance(a, ModuleAtom)]
     columns = lru_cache(_MEMO_SIZE)(partial(_columns, rep, n))
     kernel = lru_cache(_MEMO_SIZE)(lambda rows: kernel_rref(rep.p, rows, n))
+    def space(y: tuple[int, ...]) -> list[tuple[int, ...]]:
+        return kernel(tuple(col for u in elems for col in columns(_terms_at(rep, y, u))))
     for y in product(range(rep.group.order), repeat=len(ctx.yvars)):
-        if any(word_value(rep.group, y, w) for w in words):
-            continue
-        yield y, kernel(tuple(col for u in elems for col in columns(_terms_at(rep, y, u))))
+        if not any(word_value(rep.group, y, w) for w in words):
+            yield y, partial(space, y)
 
 
 def _least_violation(
@@ -141,25 +142,27 @@ def _least_violation(
     """The enumeration-order-least assignment that satisfies every premise
     and violates the conclusion, or None.
 
-    In an RREF basis b_1..b_k of S_y the pivots increase, so the points of
-    S_y in x-major order are the coefficient tuples in lexicographic order.
-    The least point outside ker M_c(y) is then b_j for the largest j with
-    b_j . M_c(y) != 0.  A group conclusion that fails at y fails at x = 0,
-    and no nonzero x precedes (0, ..., 0, 1): either ends the search.
+    S_y is eliminated only where the conclusion can fail: x = 0 solves the
+    homogeneous module premises, so a group conclusion fails first there,
+    and a module one holds at every x where M_c(y) = 0.  In an RREF basis
+    of S_y the pivots increase, so its last vector b with b . M_c(y) != 0 is
+    the least point outside ker M_c(y); no nonzero x precedes (0, ..., 0, 1).
     """
     _check_inputs(rep, ctx, (*premises, conclusion), caps)
     p, n = rep.p, len(ctx.xvars) * rep.dim
     columns = lru_cache(_MEMO_SIZE)(partial(_columns, rep, n))
     least = (0,) * (n - 1) + (1,)
     best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-    for y, basis in _solution_spaces(rep, ctx, premises):
+    for y, space in _solution_spaces(rep, ctx, premises):
         if isinstance(conclusion, GroupAtom):
             if word_value(rep.group, y, conclusion.word):
                 best = ((0,) * n, y)
                 break  # nothing precedes x = 0 at the first such y
             continue
         cols = columns(_terms_at(rep, y, conclusion.element))
-        for b in reversed(basis):
+        if not any(map(any, cols)):
+            continue
+        for b in reversed(space()):
             if any(sum(map(mul, b, col)) % p for col in cols):
                 if best is None or b < best[0]:
                     best = (b, y)
@@ -189,8 +192,8 @@ def solution_set(
     n = len(sys.context.xvars) * rep.dim
     points = sorted(
         (x, y)
-        for y, basis in _solution_spaces(rep, sys.context, premises)
-        for x in span_elements(rep.p, basis, n)
+        for y, space in _solution_spaces(rep, sys.context, premises)
+        for x in span_elements(rep.p, space(), n)
     )
     return SolutionSet(sys, rep, tuple(_assignment(rep, x, y) for x, y in points))
 

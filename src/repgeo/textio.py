@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from math import prod
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .config import DEFAULT_CAPS, EnumerationCaps
 from .errors import InvalidInput, ParseError, UnknownVariable
@@ -101,16 +102,16 @@ def _tokenize(text: str, line0: int = 1, col0: int = 1) -> list[_Token]:
     return toks
 
 
-def _integer(text: str, err: ParseError) -> int:
+def _integer(text: str, err: Callable[[], ParseError]) -> int:
     """The integer rule of every format: a run of digits that int() reads.
-    Anything else raises err, digits that int() rejects included: "²", or
+    Anything else raises err(), digits that int() rejects included: "²", or
     more of them than sys.get_int_max_str_digits()."""
     if text.isdigit():
         try:
             return int(text)
         except ValueError:
             pass
-    raise err
+    raise err()
 
 
 class _ExprParser:
@@ -139,7 +140,7 @@ class _ExprParser:
 
     def integer(self) -> int:
         t = self.expect("int")
-        return _integer(t.text, ParseError(t.span, "a decimal integer"))
+        return _integer(t.text, lambda: ParseError(t.span, "a decimal integer"))
 
     def full(self, production):
         v = production()
@@ -357,9 +358,9 @@ def _parse_matrix_literal(lineno: int, line: str, text: str) -> list[list[int]]:
     """``text`` is what follows the first "=" of ``line``."""
     s = text.replace(" ", "")
     col = line.index("=") + len(text) - len(text.lstrip()) + 2
-    err = ParseError(SourceSpan(lineno, col, max(len(text.strip()), 1)), "a matrix literal [[..],[..]]")
+    err = partial(ParseError, SourceSpan(lineno, col, max(len(text.strip()), 1)), "a matrix literal [[..],[..]]")
     if not (s.startswith("[[") and s.endswith("]]")):
-        raise err
+        raise err()
     rows = []
     for chunk in s[2:-2].split("],["):
         row = []
@@ -378,7 +379,7 @@ def _parse_cyclic_factor(lineno: int, line: str, spec_text: str, caps: Enumerati
     if ")" not in rest:
         raise _line_error(lineno, line, '")"')
     num, _, tail = rest.partition(")")
-    n = _integer(num.strip(), _line_error(lineno, line, "a positive integer order"))
+    n = _integer(num.strip(), partial(_line_error, lineno, line, "a positive integer order"))
     if n < 1 or n > caps.max_group_order:
         raise InvalidInput(f"cyclic order {n} outside [1, {caps.max_group_order}]")
     gen = "g"
@@ -446,12 +447,12 @@ def parse_rep_file(text: str, caps: EnumerationCaps = DEFAULT_CAPS) -> Represent
     parts = line.split()
     if len(parts) != 2 or parts[0] != "field" or not parts[1].startswith("p="):
         raise _line_error(lineno, line, '"field p=<prime>"')
-    field = PrimeField(_integer(parts[1][2:], _line_error(lineno, line, "a prime modulus")))
+    field = PrimeField(_integer(parts[1][2:], partial(_line_error, lineno, line, "a prime modulus")))
     group = _parse_group_block(reader, caps)
     lineno, line = reader.require("dim")
-    parts, err = line.split(), _line_error(lineno, line, '"dim <n>"')
+    parts, err = line.split(), partial(_line_error, lineno, line, '"dim <n>"')
     if len(parts) != 2 or parts[0] != "dim":
-        raise err
+        raise err()
     dim = _integer(parts[1], err)
     act: dict[str, list[list[int]]] = {}
     for lineno, line in reader.rest():

@@ -29,6 +29,7 @@ from repgeo import (
     enumerate_group_homs,
     enumerate_rep_homs,
     equation_system,
+    eval_atom,
     faithful_image,
     find_at_witness,
     find_separating_qid,
@@ -92,8 +93,12 @@ from naive import (
     naive_separate,
     naive_signatures,
     naive_solutions,
+    naive_eval_module,
+    naive_holds,
     random_atom_tree,
+    random_module_tree,
     random_qid_trees,
+    random_word_tree,
     rref,
     trees_to_qid,
 )
@@ -695,8 +700,6 @@ def test_naive_oracle_agreement():
         slow = naive_fulfills(rep, ["x"], ["y"], prems, concl)
         assert fast == slow
         if not fast:
-            from repgeo import eval_atom
-
             assert all(eval_atom(wit, a) for a in q.premises)
             assert not eval_atom(wit, q.conclusion)
 
@@ -785,7 +788,9 @@ def _diag_z4sq_rep():
 def test_decider_solves_each_distinct_system_once(monkeypatch):
     # the premise's matrix at (y1, y2) is act(y1) - act(y2), a diagonal
     # matrix whose two entries take 5 values each: 25 systems over the 256
-    # y-points, each eliminated once in the call
+    # y-points, each eliminated at most once in the call.  The zero system
+    # arises only where y1 = y2, and there the conclusion vanishes too, so
+    # it is never eliminated: 24
     calls = []
 
     def counted(p, rows, n):
@@ -798,7 +803,8 @@ def test_decider_solves_each_distinct_system_once(monkeypatch):
     ctx = infer_context(formula)
     q = parse_qid(formula, ctx, rep.field)
     ok, wit = fulfills_qid(rep, q)
-    assert len(calls) == len(set(calls)) == 25
+    assert len(calls) == len(set(calls)) == 24
+    assert all(any(map(any, rows)) for rows in calls)
     trees = [canonical_to_atom_tree(ctx, a) for a in (*q.premises, q.conclusion)]
     expect = naive_least_violation(rep, ctx.xvars, ctx.yvars, trees[:-1], trees[-1])
     assert not ok and (wit.xmap, wit.ymap) == expect
@@ -812,9 +818,9 @@ def test_least_violation_stops_at_the_least_nonzero_x(monkeypatch):
     spaces = geometry._solution_spaces
 
     def counted(rep, ctx, premises):
-        for y, basis in spaces(rep, ctx, premises):
+        for y, space in spaces(rep, ctx, premises):
             visited.append(y)
-            yield y, basis
+            yield y, space
 
     monkeypatch.setattr(geometry, "_solution_spaces", counted)
     rep = _diag_z4sq_rep()
@@ -827,6 +833,144 @@ def test_least_violation_stops_at_the_least_nonzero_x(monkeypatch):
     assert not ok and (wit.xmap, wit.ymap) == expect
     assert wit.xmap == ((0, 0), (0, 1))
     assert len(visited) == 17 and visited[-1] == wit.ymap
+
+
+def _commutator_tree(x):
+    """x*y1*y2 - x*y2*y1 = 0: M_c(y) vanishes exactly where y1 and y2 act
+    by commuting matrices, so everywhere on an abelian representation."""
+    y1, y2 = ("gen", "y1"), ("gen", "y2")
+    return ("meq0", ("add", ("act", ("xgen", x), ("mul", y1, y2)),
+                     ("neg", ("act", ("xgen", x), ("mul", y2, y1)))))
+
+
+def _zero_coordinates(rep, xnames, ynames, tree, y):
+    """The coordinates of a module conclusion that are 0 at every x at y,
+    read off its values at the unit x-vectors."""
+    n, dim = len(xnames), rep.dim
+    units = [[tuple(int(i * dim + k == j) for k in range(dim)) for i in range(n)] for j in range(n * dim)]
+    vals = [naive_eval_module(rep, dict(zip(xnames, x)), dict(zip(ynames, y)), tree[1]) for x in units]
+    return [all(v[d] == 0 for v in vals) for d in range(dim)]
+
+
+def _s3_on_gf2_sq(rng, dim, p, max_order):
+    """S3 = GL(2,2) on GF(2)^2, whose commutators vanish only at commuting
+    pairs; for other sizes, a random cyclic or non-cyclic representation."""
+    if (dim, p) == (2, 2) and max_order >= 6 and rng.random() < 0.5:
+        g, mats = general_linear_group(2, 2)
+        return make_representation(PrimeField(2), 2, g, dict(enumerate(mats)))
+    return rng.choice((_cyclic_power_rep, _non_cyclic_rep))(rng, dim, p, max_order)
+
+
+def test_short_cuts_match_oracle_and_solution_set():
+    # the deciders skip the elimination under a group conclusion and at
+    # y-points where a module conclusion's columns vanish: their least
+    # violations against the oracle's and against the first violation
+    # among solution_set's solutions, which eliminate at every y-point,
+    # and in_at_closure against the same verdicts.  x*w - x = 0 is often
+    # violated where some of its coordinates vanish and others do not
+    rng = random.Random(83)
+    limit, ynames = 2000, ["y1", "y2"]
+    seen = set()
+    for _ in range(300):
+        dim, p, nx = (rng.choice(v) for v in ((1, 2, 3), (2, 3, 5), (1, 2)))
+        max_order = int((limit / p ** (dim * nx)) ** 0.5)
+        rep = _s3_on_gf2_sq(rng, dim, p, max_order) if max_order >= 2 else None
+        if rep is None:
+            continue
+        xnames = [f"x{i}" for i in range(1, nx + 1)]
+        ctx = FreeContext(tuple(xnames), tuple(ynames))
+        prems = [("meq0", random_module_tree(rng, xnames, ynames, p)) for _ in range(rng.randint(0, 2))]
+        kind, x = rng.choice(("commutator", "fixed", "module", "group")), ("xgen", rng.choice(xnames))
+        if kind == "group":
+            concl = ("weq1", random_word_tree(rng, ynames))
+            prems += [("weq1", random_word_tree(rng, ynames))] * (rng.random() < 0.5)
+        elif kind == "fixed":
+            concl = ("meq0", ("add", ("act", x, random_word_tree(rng, ynames)), ("neg", x)))
+        else:
+            concl = _commutator_tree(x[1]) if kind == "commutator" else (
+                "meq0", random_module_tree(rng, xnames, ynames, p))
+        q = trees_to_qid(ctx, rep.field, prems, concl)
+        expect = naive_least_violation(rep, xnames, ynames, prems, concl)
+        ok, wit = fulfills_qid(rep, q)
+        assert (ok, wit and (wit.xmap, wit.ymap)) == (expect is None, expect)
+        elems = [a.element for a in q.premises if isinstance(a, ModuleAtom)]
+        words = [a.word for a in q.premises if isinstance(a, GroupAtom)]
+        sys = equation_system(ctx, elems, words)
+        assert in_closure(rep, sys, q.conclusion) == (expect is None)
+        sols = solution_set(rep, sys).solutions
+        first = next(((s.xmap, s.ymap) for s in sols if not eval_atom(s, q.conclusion)), None)
+        assert first == expect
+        seen |= {("dim", dim), ("p", p), (kind, "holds", ok)}
+        if kind == "group":
+            seen.add(("group premises", bool(words)))
+            continue
+        xs = list(product(product(range(p), repeat=dim), repeat=nx))
+        ys = list(product(range(rep.group.order), repeat=2))
+        vanish = sum(all(naive_holds(rep, xnames, ynames, (x, y), [concl]) for x in xs) for y in ys)
+        seen.add((kind, "vanishes", "everywhere" if vanish == len(ys) else "somewhere" if vanish else "nowhere"))
+        if rep.group.order == 6 and kind == "commutator":
+            seen.add(("S3 commutator", ok))
+        if expect is not None:
+            seen.add(("partly zero at the witness", any(_zero_coordinates(rep, xnames, ynames, concl, expect[1]))))
+        assert in_at_closure(rep, elems, q.conclusion.element) == in_closure(
+            rep, equation_system(ctx, elems), q.conclusion)
+        if not words and vanish == len(ys):
+            seen.add("in_at_closure with a member vanishing everywhere")
+            assert in_at_closure(rep, elems, q.conclusion.element)
+    assert seen >= {("dim", d) for d in (1, 2, 3)} | {("p", p) for p in (2, 3, 5)}
+    assert seen >= {(k, "holds", ok) for k in ("commutator", "fixed", "module", "group") for ok in (True, False)}
+    assert seen >= {("group premises", True), ("group premises", False)}
+    assert seen >= {("commutator", "vanishes", v) for v in ("everywhere", "somewhere")}
+    assert seen >= {("module", "vanishes", v) for v in ("everywhere", "somewhere", "nowhere")}
+    assert seen >= {("S3 commutator", True), ("S3 commutator", False)}
+    assert seen >= {("partly zero at the witness", True), ("partly zero at the witness", False)}
+    assert "in_at_closure with a member vanishing everywhere" in seen
+
+
+def _count_eliminations(monkeypatch):
+    calls = []
+
+    def counted(p, rows, n):
+        calls.append(rows)
+        return linalg.kernel_rref(p, rows, n)
+
+    monkeypatch.setattr(geometry, "kernel_rref", counted)
+    return calls
+
+
+@pytest.mark.parametrize("formula,holds", [
+    ("x1*y1 - x1 = 0 & x2*y2 - x2 = 0 => y1*y2 = 1", False),
+    ("x2*y1 - x2*y2 = 0 => y1^4*y2^-4 = 1", True),
+    ("x1*y1 - x1*y2 = 0 & y1*y2^-1 = 1 => y1 = 1", False),
+])
+def test_group_conclusion_eliminates_nothing(monkeypatch, formula, holds):
+    # x = 0 solves the module premises, so the least violation, if any, is
+    # x = 0 at the first y-point where the group premises hold and the
+    # conclusion's word is not 1
+    calls = _count_eliminations(monkeypatch)
+    rep = _diag_z4sq_rep()
+    ctx = infer_context(formula)
+    q = parse_qid(formula, ctx, rep.field)
+    ok, wit = fulfills_qid(rep, q)
+    trees = [canonical_to_atom_tree(ctx, a) for a in (*q.premises, q.conclusion)]
+    expect = naive_least_violation(rep, ctx.xvars, ctx.yvars, trees[:-1], trees[-1])
+    assert (ok, wit and (wit.xmap, wit.ymap)) == (holds, expect)
+    assert calls == []
+
+
+def test_vanishing_commutator_eliminates_nothing(monkeypatch):
+    # on the abelian Z4 x Z4 the commutator's columns are zero at all 256
+    # y-points, so the qid and the closure hold with no premise system
+    # eliminated
+    calls = _count_eliminations(monkeypatch)
+    rep = _diag_z4sq_rep()
+    formula = "x1*y1 - x1 = 0 & x2*y2 - x2 = 0 => x1*y1*y2 - x1*y2*y1 = 0"
+    ctx = infer_context(formula)
+    q = parse_qid(formula, ctx, rep.field)
+    assert fulfills_qid(rep, q) == (True, None)
+    premises = [a.element for a in q.premises]
+    assert in_at_closure(rep, premises, q.conclusion.element)
+    assert calls == []
 
 
 def test_decider_memory_does_not_grow_with_the_space(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from naive import naive_word_key
+from test_groups import _GROUPS, _relabelled
 
 from repgeo import (
     Assignment,
@@ -33,7 +34,7 @@ from repgeo import (
     xgen,
     ygen,
 )
-from repgeo.freemod import word_key
+from repgeo.freemod import word_key, word_value
 
 CTX = FreeContext(("x",), ("y1", "y2"))
 GF2 = PrimeField(2)
@@ -184,6 +185,32 @@ def test_eval_word_examples(r1, r2):
     assert eval_word(a, identity_word(c)) == 0
     b = Assignment(r2, ((0, 0),), (r2.group.index("b"),))
     assert eval_word(b, y) == r2.group.index("b")
+
+
+def _plain_word_value(g, ymap, letters):
+    """The product of the letters' factors by one table lookup per factor,
+    each inverse found by searching its row for the identity."""
+    acc = 0
+    for v, e in letters:
+        f = ymap[v] if e > 0 else g.table[ymap[v]].index(0)
+        for _ in range(abs(e)):
+            acc = g.table[acc][f]
+    return acc
+
+
+@pytest.mark.parametrize("name,seed", [("S3", 1), ("Z4xZ2", 2), ("GL(2,3)", 3)])
+def test_word_value_matches_repeated_table_lookups(name, seed):
+    # exponents +-1 read straight off ymap, +-2 and +-k for k at and past
+    # each element's order through powers, in words of up to three letters
+    g = _relabelled(_GROUPS[name], seed)
+    rng = random.Random(seed)
+    for a in range(g.order):
+        k = g.element_order(a)
+        for e in (1, -1, 2, -2, k, -k, k + 1, -(k + 1), 2 * k + 3, -(2 * k + 3)):
+            b = rng.randrange(g.order)
+            for letters in (((0, e),), ((0, e), (1, -1)), ((1, 1), (0, e), (1, 2))):
+                w = reduce_word(CTX, letters)
+                assert word_value(g, (a, b), w) == _plain_word_value(g, (a, b), letters)
 
 
 def test_eval_module_examples(r1):
