@@ -1,12 +1,14 @@
 """Cayley-table groups: validation, constructors, subgroups, quotients,
-and exhaustive homomorphism enumeration.  Associativity (Light's test) is
-checked on the greedy generators; homs are drawn lazily in image-table
-order along the subgroup chain they span, comparing Schreier relators only.
+and exhaustive homomorphism enumeration.  A group computes its greedy
+generators and the subgroup chain they span once, on first use: Light's
+test runs on the generators, and homs are drawn lazily in image-table order
+along the chain, comparing Schreier relators only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -22,7 +24,9 @@ class FiniteGroup:
     Index 0 is the identity.  table[i][j] is the index of g_i * g_j.
     group_from_table validates a table that comes from outside in full;
     cyclic_group, product_group, quotient_group and GL(dim, p) build
-    theirs from the definition, with no re-validation.
+    theirs from the definition, with no re-validation.  _generators and
+    _chain are computed once per instance, on first use, and are not fields:
+    equality, the hash and asdict ignore them.
     """
 
     names: tuple[str, ...]
@@ -56,6 +60,49 @@ class FiniteGroup:
             acc = self.table[acc][g]
             k += 1
         return k
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        """The greedy generators, each the least element not yet reached from
+        0 by right products, so every element is a left-normed product of
+        them.  Needing no associativity, they serve Light's test as well."""
+        table, gens, reached, seen = self.table, [], [0], {0}
+        while len(seen) < len(table):
+            gens.append(min(set(range(len(table))) - seen))
+            for e in reached:  # grows while it is read, up to <gens>
+                for f in map(table[e].__getitem__, gens):
+                    if f not in seen:
+                        seen.add(f)
+                        reached.append(f)
+        return tuple(gens)
+
+    @cached_property
+    def _chain(self) -> tuple[list, list[int]]:
+        """The levels of 1 < G_1 < ... < G_k = G, G_j = <g_1..g_j> for the
+        greedy generators, and each element's position in the last block.
+
+        Level j is (tree, relators) on the right cosets G_{j-1} x_c of G_j,
+        spread breadth first from x_0 = 1: tree[c - 1] = (i, s) with
+        x_c = x_i g_s, and a relator (i, s, c, pos) says x_i g_s = h x_c with h
+        at position pos of block j - 1.  Block j is block j - 1 times x_0, x_1..
+        """
+        table, gens = self.table, self._generators
+        block, levels = [0], []
+        for j in range(len(gens)):
+            where = {e: (0, pos) for pos, e in enumerate(block)}  # h x_c -> (c, pos of h)
+            queue, tree, rels = [0], [], []
+            for i, x in enumerate(queue):
+                for s, gen in enumerate(gens[: j + 1]):
+                    y = table[x][gen]
+                    if y not in where:
+                        where.update((table[b][y], (len(queue), pos)) for pos, b in enumerate(block))
+                        tree.append((i, s))
+                        queue.append(y)
+                    elif i or where[y][0]:  # x_0 g_s = g_s x_0 for s < j holds always
+                        rels.append((i, s, *where[y]))
+            levels.append((tree, rels))
+            block = [table[b][x] for x in queue for b in block]
+        return levels, sorted(range(len(block)), key=block.__getitem__)
 
 
 def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -91,20 +138,21 @@ def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fi
                 raise NotAGroup("latin-square", ("row", i))
             if len(set(cols[i])) != n:
                 raise NotAGroup("latin-square", ("col", i))
+    # a right inverse, read off the row, is two-sided in a group
+    g = _group(names, rows)
     # associativity by Light's test: the k with (ij)k = i(jk) for all i, j
     # are closed under products, so the greedy generators suffice.  Up to
     # order 256 the column-major table, as bytes, is relabelled by k ((ij)k) and
     # has its columns permuted by k (i(jk))
     columns = list(map(bytes, cols)) if n <= 256 else []
-    for k in _greedy_generators(rows):
+    for k in g._generators:
         col = cols[k]
         if not columns or b"".join(columns).translate(bytes(col).ljust(256)) != b"".join(itemgetter(*col)(columns)):
             for i, row in enumerate(rows):
                 if [col[x] for x in row] != [row[x] for x in col]:
                     j = next(j for j in range(n) if col[row[j]] != row[col[j]])
                     raise NotAGroup("associativity", (i, j, k))
-    # a right inverse, read off the row, is two-sided in a group
-    return _group(names, rows)
+    return g
 
 
 def _group(names: Sequence[str], rows: Sequence[Sequence[int]]) -> FiniteGroup:
@@ -242,64 +290,21 @@ def compose_group_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(f.domain, g.codomain, tuple(g.image[x] for x in f.image))
 
 
-def _greedy_generators(table: Sequence[Sequence[int]]) -> list[int]:
-    """Greedy generators of a Cayley table: each the least element not yet
-    reached from 0 by right multiplication, so every element is a
-    left-normed product of them."""
-    gens, reached, seen = [], [0], {0}
-    while len(seen) < len(table):
-        gens.append(min(set(range(len(table))) - seen))
-        for e in reached:  # grows while it is read, up to <gens>
-            for f in map(table[e].__getitem__, gens):
-                if f not in seen:
-                    seen.add(f)
-                    reached.append(f)
-    return gens
-
-
 def generating_words(g: FiniteGroup) -> tuple[list[int], list[list[int]]]:
     """Greedy generating set plus, per element, a word in those generators.
 
     words[i] is a list of generator positions whose left-to-right product
-    equals element i, read off _subgroup_chain: x_c's word follows its
+    equals element i, read off the group's chain: x_c's word follows its
     coset tree, and b x_c's word is b's word followed by x_c's.
     """
-    levels, order = _subgroup_chain(g.table)
+    levels, order = g._chain
     words: list[list[int]] = [[]]
     for tree, _ in levels:
         xs: list[list[int]] = [[]]
         for i, s in tree:
             xs.append(xs[i] + [s])
         words = [b + x for x in xs for b in words]
-    return _greedy_generators(g.table), [words[pos] for pos in order]
-
-
-def _subgroup_chain(table: Sequence[Sequence[int]]) -> tuple[list, list[int]]:
-    """The levels of 1 < G_1 < ... < G_k = G, G_j = <g_1..g_j> for the
-    greedy generators, and each element's position in the last block.
-
-    Level j is (tree, relators) on the right cosets G_{j-1} x_c of G_j,
-    spread breadth first from x_0 = 1: tree[c - 1] = (i, s) with
-    x_c = x_i g_s, and a relator (i, s, c, pos) says x_i g_s = h x_c with h
-    at position pos of block j - 1.  Block j is block j - 1 times x_0, x_1..
-    """
-    gens = _greedy_generators(table)
-    block, levels = [0], []
-    for j in range(len(gens)):
-        where = {e: (0, pos) for pos, e in enumerate(block)}  # h x_c -> (c, pos of h)
-        queue, tree, rels = [0], [], []
-        for i, x in enumerate(queue):
-            for s, gen in enumerate(gens[: j + 1]):
-                y = table[x][gen]
-                if y not in where:
-                    where.update((table[b][y], (len(queue), pos)) for pos, b in enumerate(block))
-                    tree.append((i, s))
-                    queue.append(y)
-                elif i or where[y][0]:  # x_0 g_s = g_s x_0 for s < j holds always
-                    rels.append((i, s, *where[y]))
-        levels.append((tree, rels))
-        block = [table[b][x] for x in queue for b in block]
-    return levels, sorted(range(len(block)), key=block.__getitem__)
+    return list(g._generators), [words[pos] for pos in order]
 
 
 def enumerate_group_homs(
@@ -312,7 +317,7 @@ def enumerate_group_homs(
 def _group_homs(g: FiniteGroup, h: FiniteGroup, caps: EnumerationCaps) -> Iterator[GroupHom]:
     """The homomorphisms G -> H, drawn lazily in image-table order.
 
-    The search runs along the chain of _subgroup_chain (Holt, Eick and
+    The search runs along the chain of FiniteGroup._chain (Holt, Eick and
     O'Brien, Handbook of Computational Group Theory, 2005).  At level j,
     each hom phi on G_{j-1} is tried with each t in H as phi(g_j): the
     phi(x_c) spread along the tree, phi(b x_c) = phi(b) phi(x_c) fills each
@@ -334,7 +339,7 @@ def _group_homs(g: FiniteGroup, h: FiniteGroup, caps: EnumerationCaps) -> Iterat
     for grp in (g, h):
         if grp.order > caps.max_group_order:
             raise EnumerationCapExceeded(caps.max_group_order, grp.order, "group order")
-    levels, order = _subgroup_chain(g.table)
+    levels, order = g._chain
     candidates = h.order ** len(levels)
     if candidates > caps.max_hom_candidates:
         raise EnumerationCapExceeded(caps.max_hom_candidates, candidates, "hom search")

@@ -22,7 +22,6 @@ from .groups import (
     FiniteGroup,
     GroupHom,
     Subgroup,
-    _greedy_generators,
     _group_homs,
     compose_group_homs,
     hom_defect,
@@ -98,10 +97,10 @@ def make_representation(
     if missing:
         raise InvalidInput(f"missing action matrices for: {', '.join(missing)}")
     full = tuple(m for m in mats if m is not None)
-    # act(g) act(s) = act(g s) at the greedy generators s suffices, and makes act
-    # invertible: each h is a left-normed product of them and act(1) = I.  Only a
-    # failure sweeps every pair, to name the first failing one in row order
-    gens, n, t = _greedy_generators(group.table), group.order, group.table
+    # act(g) act(s) = act(g s) at the group's greedy generators s suffices, and
+    # makes act invertible: each h is a left-normed product of them and act(1) = I.
+    # Only a failure sweeps every pair, to name the first failing one in row order
+    gens, n, t = group._generators, group.order, group.table
     if any(mat_mul(p, full[i], full[s]) != full[t[i][s]] for i in range(n) for s in gens):
         i, j = next((i, j) for i in range(n) for j in range(n)
                     if mat_mul(p, full[i], full[j]) != full[t[i][j]])
@@ -191,7 +190,7 @@ def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> It
     For each group hom beta the equivariance conditions
     act_r(g) . A = A . act_s(beta(g)) are linear in the entries of the
     matrix A; we enumerate the nullspace.  The equations are written for
-    the greedy generators of R's group only (``_greedy_generators``).  That is
+    the greedy generators of R's group only (``FiniteGroup._generators``).  That is
     exact: act_r, act_s and beta are homomorphisms, so if A intertwines at
     g and at a generator t, it intertwines at g * t, and every element is
     reached from the identity along such Cayley-graph edges.  Order is
@@ -203,13 +202,12 @@ def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> It
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
     betas = _group_homs(r.group, s.group, caps)
-    gens = _greedy_generators(r.group.table)
     p, nunk = r.p, r.dim * s.dim
 
     def solve():
         for beta in betas:
             rows = []
-            for g in gens:
+            for g in r.group._generators:
                 ra = r.act[g]
                 sa = s.act[beta.image[g]]
                 for i in range(r.dim):

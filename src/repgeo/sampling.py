@@ -86,15 +86,11 @@ def random_representation(
     dims: tuple[int, ...] = (1, 2),
     group_keys: tuple[int, ...] = tuple(range(8)),
 ) -> Representation:
-    key = rng.choice(group_keys)
-    p = rng.choice(primes)
-    dim = rng.choice(dims)
+    key, p, dim = rng.choice(group_keys), rng.choice(primes), rng.choice(dims)
     homs, mats = _action_homs(key, p, dim)
-    hom = rng.choice(homs)
-    g = group_catalog()[key]
-    field = PrimeField(p)
-    act = {i: mats[hom.image[i]] for i in range(1, g.order)}
-    return make_representation(field, dim, g, act)
+    hom = rng.choice(homs)  # its domain is the catalog group _action_homs keeps
+    act = {i: mats[x] for i, x in enumerate(hom.image) if i}
+    return make_representation(PrimeField(p), dim, hom.domain, act)
 
 
 def random_system(rng: random.Random, ctx: FreeContext, field: PrimeField) -> EquationSystem:

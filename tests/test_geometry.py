@@ -477,6 +477,36 @@ def test_group_separation_matches_the_whole_list_greedy():
     assert seen == {"inseparable", 0, 1, 2, 3}
 
 
+def _relabelled_rep(r, seed):
+    """r on its group with the elements put in a seeded random order, each
+    matrix carried along with its element."""
+    g = _relabelled(r.group, seed)
+    act = {name: r.act[r.group.index(name)] for name in g.names[1:]}
+    return make_representation(r.field, r.dim, g, act)
+
+
+def test_verdicts_do_not_depend_on_the_element_order():
+    # the greedy generators and the subgroup chain follow the element
+    # order; the verdicts and the number of rep homs do not
+    seen = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        reps = [random_representation(rng) for _ in range(8)]
+        shuffled = [_relabelled_rep(r, 100 * seed + i) for i, r in enumerate(reps)]
+        seen |= {"new generators" if r.group._generators != t.group._generators
+                 else "same generators" for r, t in zip(reps, shuffled)}
+        for i, j in combinations(range(8), 2):
+            if reps[i].p != reps[j].p:
+                continue
+            for decide in (lambda a, b: geo_equivalent(a, b, search_qid=False), at_equivalent):
+                kind = type(decide(reps[i], reps[j]))
+                assert type(decide(shuffled[i], shuffled[j])) is kind
+                seen.add(kind)
+            assert len(enumerate_rep_homs(reps[i], reps[j])) == len(
+                enumerate_rep_homs(shuffled[i], shuffled[j]))
+    assert seen == {"new generators", "same generators", Equivalent, NotEquivalent}
+
+
 def test_rep_separation_matches_the_whole_list_greedy():
     rng = random.Random(5)
     pairs = []

@@ -20,7 +20,7 @@ from repgeo import (
 )
 from repgeo.config import EnumerationCaps
 from repgeo.errors import EnumerationCapExceeded, InvalidInput, RepGeoError
-from repgeo.groups import _greedy_generators, _group_homs, _subgroup_chain, generating_words
+from repgeo.groups import _group, _group_homs, generating_words
 from repgeo import sampling
 from repgeo.sampling import general_linear_group, group_catalog, random_representation, symmetric_group_3
 from repgeo.textio import parse_group_file
@@ -131,10 +131,11 @@ def test_table_checks_above_order_256():
     n = 5 * 60  # the loop of order 5 times Z60 is a loop, not a group
     table = [[_LOOP5[a][b] * 60 + (x + y) % 60 for b in range(5) for y in range(60)]
              for a in range(5) for x in range(60)]
+    names = [str(i) for i in range(n)]
     with pytest.raises(NotAGroup) as e:
-        group_from_table([str(i) for i in range(n)], table)
+        group_from_table(names, table)
     i, j, k = e.value.witness
-    assert e.value.reason == "associativity" and k in _greedy_generators(table)
+    assert e.value.reason == "associativity" and k in _group(names, table)._generators
     assert table[table[i][j]][k] != table[i][table[j][k]]
 
 
@@ -412,7 +413,7 @@ def _relabelled(g, seed):
 
 def _chain_levels(g):
     """(G_{j-1}, G_j) for each level of the chain the greedy generators span."""
-    gens, chain = _greedy_generators(g.table), [{0}]
+    gens, chain = g._generators, [{0}]
     for j in range(1, len(gens) + 1):
         members, queue = {0}, [0]
         for e in queue:
@@ -460,7 +461,7 @@ def test_hom_list_is_in_generator_image_order(gname, seed):
     # image-table order is the lexicographic order of the greedy generators'
     # images; the search emits that order and nothing sorts it afterwards
     g = _relabelled(_GROUPS[gname], seed)
-    gens = _greedy_generators(g.table)
+    gens = g._generators
     assert gname != "GL(2,3)" or len(gens) == 3
     for hname in ["Z2", "V4", "S3", "Z4xZ2", "GL(2,3)"]:
         images = [x.image for x in enumerate_group_homs(g, _GROUPS[hname])]
@@ -483,9 +484,9 @@ def test_hom_stream_reorders_images_only_off_products():
     # groups, so their images skip the reorder; a shuffled table needs it
     for text in _PRODUCT_FILES.values():
         g = parse_group_file(text)
-        assert _subgroup_chain(g.table)[1] == list(range(g.order)), text
+        assert g._chain[1] == list(range(g.order)), text
     shuffled = _relabelled(_GROUPS["GL(2,3)"], 0)
-    assert _subgroup_chain(shuffled.table)[1] != list(range(48))
+    assert shuffled._chain[1] != list(range(48))
     # both paths against the full-table enumerator
     for g, h in [
         (parse_group_file(_PRODUCT_FILES["Z4^3"]), _GROUPS["Z2"]),

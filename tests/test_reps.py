@@ -1,5 +1,7 @@
+import hashlib
 import random
 from collections import Counter
+from dataclasses import asdict, fields
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from repgeo import (
     enumerate_group_homs,
     enumerate_rep_homs,
     faithful_image,
+    geo_equivalent,
     group_from_table,
     make_representation,
     product_group,
@@ -27,10 +30,11 @@ from repgeo import (
 )
 from repgeo import reps
 from repgeo.config import DEFAULT_CAPS, EnumerationCaps
-from repgeo.groups import _greedy_generators, normality_witness
+from repgeo.groups import FiniteGroup, _group, generating_words, normality_witness
 from repgeo.linalg import is_invertible, mat_identity, mat_mul
 from repgeo.reps import _rep_homs
 from repgeo.sampling import general_linear_group, random_representation
+from repgeo.textio import serialize, serialize_group
 
 from naive import naive_action_defect, naive_rep_homs
 from test_geometry import _cyclic_power_rep
@@ -62,7 +66,7 @@ def _actions_to_perturb():
         homs = [h for h in enumerate_group_homs(g, gl) if len(set(h.image)) > 1]
         out += [(g, [mats[x] for x in rng.choice(homs).image]) for _ in range(2)]
     shuffled = _relabelled(gl, 1)
-    assert len(_greedy_generators(shuffled.table)) >= 2
+    assert len(shuffled._generators) >= 2
     out.append((shuffled, [mats[gl.index(n)] for n in shuffled.names]))
     return out
 
@@ -72,7 +76,7 @@ def _perturbed(rng, g, act):
     generators, act with every matrix on one left coset of <s_1> multiplied
     on the left by some Y != I: that keeps act(h) act(s_1) = act(h s_1) for
     every h, so only a later generator can show the defect."""
-    gens = _greedy_generators(g.table)
+    gens = g._generators
 
     def random_matrix():
         return tuple(tuple(rng.randrange(3) for _ in range(2)) for _ in range(2))
@@ -105,7 +109,7 @@ def test_action_check_names_the_first_failing_pair():
     for g, act in _actions_to_perturb():
         assert naive_action_defect(g, act, 3) is None
         make_representation(field, 2, g, dict(enumerate(act)))
-        gens = {g.names[s] for s in _greedy_generators(g.table)}
+        gens = {g.names[s] for s in g._generators}
         for kind, bad in _perturbed(rng, g, act):
             expect = naive_action_defect(g, bad, 3)
             if expect is None:
@@ -141,7 +145,7 @@ def test_action_check_multiplies_only_at_the_generators(monkeypatch):
     r = make_representation(PrimeField(3), 8, g, act)
     assert r.act[63] == tuple(tuple(2 * (i == j) if i < 6 else int(i == j) for j in range(8))
                               for i in range(8))
-    k = len(_greedy_generators(g.table))
+    k = len(g._generators)
     assert k == 6 and 0 < len(calls) <= g.order * k
 
 
@@ -160,6 +164,58 @@ def test_make_representation_input_errors(gf2, z2, dim, act, error, match):
 def test_missing_matrix_rejected(gf2, v4):
     with pytest.raises(Exception):
         make_representation(gf2, 2, v4, {"a": [[0, 1], [1, 0]]})
+
+
+def test_presentation_is_computed_once_per_group(monkeypatch):
+    # one group followed from its table through every layer that reads its
+    # generators or its chain: each is computed at most once per instance
+    calls = []
+    for attr in ("_generators", "_chain"):
+        prop = vars(FiniteGroup)[attr]
+
+        def counted(group, func=prop.func, attr=attr):
+            calls.append((group, attr))  # keeps the group alive, so ids stay unique
+            return func(group)
+
+        monkeypatch.setattr(prop, "func", counted)
+    s3 = _GROUPS["S3"]
+    g = group_from_table(s3.names, s3.table)
+    assert "_generators" in vars(g) and "_chain" not in vars(g)
+    gl, mats = general_linear_group(3, 2)
+    image = max(enumerate_group_homs(s3, gl), key=lambda h: len(set(h.image))).image
+    field = PrimeField(3)
+    natural = make_representation(field, 2, g, {i: mats[x] for i, x in enumerate(image)})
+    trivial = make_representation(field, 1, g, {i: [[1]] for i in range(1, g.order)})
+    geo_equivalent(natural, trivial, search_qid=False)
+    enumerate_rep_homs(natural, natural)
+    generating_words(g)
+    per_group = Counter((id(group), attr) for group, attr in calls)
+    assert max(per_group.values()) == 1
+    assert per_group[id(g), "_generators"] == per_group[id(g), "_chain"] == 1
+    # the cached attributes are not fields
+    fresh = _group(s3.names, s3.table)
+    assert "_generators" not in vars(fresh)
+    assert g == fresh and hash(g) == hash(fresh) and asdict(g) == asdict(fresh)
+    assert serialize_group(g) == serialize_group(fresh)
+    assert [f.name for f in fields(g)] == ["names", "table", "inverses"]
+
+
+# sha256 of the serialized draws of 25 representations from random.Random(seed)
+_DRAW_DIGESTS = {
+    (7, (2, 3)): "15b8a85b10eb206ea62db73f1bfc757229fbc678778e1ed1c9582f24dd77ee4e",
+    (7, (3,)): "be4b740925400a541641a760f74598c10ef4a32efa3536dfb5ade898709bd737",
+    (8, (2, 3)): "9732a992e5d75cbe796a632b6a3c19ae317395153cd92dc42890482e6c3e3451",
+    (8, (3,)): "f5625311180386f3cb979b12bfb9ab38bb8401523f122ec38184426d238a2733",
+}
+
+
+@pytest.mark.parametrize("seed,primes", _DRAW_DIGESTS)
+def test_random_representation_draws_are_pinned(seed, primes):
+    # the pinned-witness tests draw from random.Random(7): the draws stay
+    # byte for byte what they are, under the default and a one-prime setting
+    rng = random.Random(seed)
+    text = "".join(serialize(random_representation(rng, primes=primes)) for _ in range(25))
+    assert hashlib.sha256(text.encode()).hexdigest() == _DRAW_DIGESTS[seed, primes]
 
 
 def test_stabilizer(r1):
