@@ -3,7 +3,12 @@
 The two sorts are: reduced words of the free group on the y-variables,
 and elements of the free module over the group ring, spanned by the
 x-variables.  Everything is stored in canonical form so equality is
-structural.
+structural.  Each sort has one canonical builder, and every operation
+and the formula parser go through it once, over a flat list of terms:
+``reduce_word`` for words, ``ring_from_terms`` for ring elements and
+``module_from_terms`` for module elements.  The one exception is the
+bounded scan pools (``geometry.bounded_module_elements``), which build
+their canonical tuples directly, already in order.
 """
 
 from __future__ import annotations
@@ -43,6 +48,13 @@ class FreeContext:
 def _same_ctx(a, b) -> None:
     if a.context != b.context:
         raise ContextMismatch("operands built over different contexts")
+
+
+def _check_pair(a, b, sort: str) -> None:
+    """Two ring or two module elements over one context and one field."""
+    _same_ctx(a, b)
+    if a.field != b.field:
+        raise FieldMismatch(f"{sort} elements over different fields")
 
 
 @dataclass(frozen=True)
@@ -122,15 +134,6 @@ class RingElement:
         return len(self.terms)
 
 
-def _canon_ring(ctx: FreeContext, field: PrimeField, acc: dict[GroupWord, int]) -> RingElement:
-    terms = tuple(
-        (w, c % field.p)
-        for w, c in sorted(acc.items(), key=lambda t: word_key(t[0]))
-        if c % field.p
-    )
-    return RingElement(ctx, field, terms)
-
-
 def ring_zero(ctx: FreeContext, field: PrimeField) -> RingElement:
     return RingElement(ctx, field, ())
 
@@ -138,44 +141,36 @@ def ring_zero(ctx: FreeContext, field: PrimeField) -> RingElement:
 def ring_from_terms(
     ctx: FreeContext, field: PrimeField, pairs: Iterable[tuple[GroupWord, int]]
 ) -> RingElement:
+    """The canonical ring element sum(c * w): like words added up,
+    coefficients taken mod p, zero terms dropped, words in word_key order."""
     acc: dict[GroupWord, int] = {}
     for w, c in pairs:
         if w.context != ctx:
             raise ContextMismatch("word over a different context")
         acc[w] = acc.get(w, 0) + c
-    return _canon_ring(ctx, field, acc)
+    p = field.p
+    terms = sorted(((w, c % p) for w, c in acc.items() if c % p), key=lambda t: word_key(t[0]))
+    return RingElement(ctx, field, tuple(terms))
 
 
 def ring_one(ctx: FreeContext, field: PrimeField) -> RingElement:
     return ring_from_terms(ctx, field, [(identity_word(ctx), 1)])
 
 
-def _check_ring_pair(r: RingElement, s: RingElement) -> None:
-    _same_ctx(r, s)
-    if r.field != s.field:
-        raise FieldMismatch("ring elements over different fields")
-
-
 def ring_add(r: RingElement, s: RingElement) -> RingElement:
-    _check_ring_pair(r, s)
-    acc = dict(r.terms)
-    for w, c in s.terms:
-        acc[w] = acc.get(w, 0) + c
-    return _canon_ring(r.context, r.field, acc)
+    _check_pair(r, s, "ring")
+    return ring_from_terms(r.context, r.field, r.terms + s.terms)
 
 
 def ring_scale(lam: int, r: RingElement) -> RingElement:
-    return _canon_ring(r.context, r.field, {w: lam * c for w, c in r.terms})
+    return ring_from_terms(r.context, r.field, [(w, lam * c) for w, c in r.terms])
 
 
 def ring_mul(r: RingElement, s: RingElement) -> RingElement:
-    _check_ring_pair(r, s)
-    acc: dict[GroupWord, int] = {}
-    for w1, c1 in r.terms:
-        for w2, c2 in s.terms:
-            w = multiply_words(w1, w2)
-            acc[w] = acc.get(w, 0) + c1 * c2
-    return _canon_ring(r.context, r.field, acc)
+    _check_pair(r, s, "ring")
+    return ring_from_terms(
+        r.context, r.field, [(multiply_words(w1, w2), c1 * c2) for w1, c1 in r.terms for w2, c2 in s.terms]
+    )
 
 
 def ring_key(r: RingElement) -> tuple:
@@ -197,15 +192,23 @@ class ModuleElement:
         return sum(r.num_terms() for _, r in self.parts)
 
 
-def _canon_module(
-    ctx: FreeContext, field: PrimeField, acc: dict[int, RingElement]
-) -> ModuleElement:
-    parts = tuple((x, r) for x, r in sorted(acc.items()) if not r.is_zero())
-    return ModuleElement(ctx, field, parts)
-
-
 def module_zero(ctx: FreeContext, field: PrimeField) -> ModuleElement:
     return ModuleElement(ctx, field, ())
+
+
+def module_from_terms(
+    ctx: FreeContext, field: PrimeField, triples: Iterable[tuple[int, GroupWord, int]]
+) -> ModuleElement:
+    """The canonical module element sum(c * x.w) over (x index, w, c)
+    triples: each x's terms go through ring_from_terms, and the nonzero
+    parts are kept in x order."""
+    acc: dict[int, list[tuple[GroupWord, int]]] = {}
+    for x, w, c in triples:
+        if not 0 <= x < len(ctx.xvars):
+            raise InvalidInput(f"x-variable index {x} out of range")
+        acc.setdefault(x, []).append((w, c))
+    parts = ((x, ring_from_terms(ctx, field, acc[x])) for x in sorted(acc))
+    return ModuleElement(ctx, field, tuple((x, r) for x, r in parts if not r.is_zero()))
 
 
 def module_term(ctx: FreeContext, field: PrimeField, x: int, r: RingElement) -> ModuleElement:
@@ -213,29 +216,22 @@ def module_term(ctx: FreeContext, field: PrimeField, x: int, r: RingElement) -> 
         raise InvalidInput(f"x-variable index {x} out of range")
     if r.context != ctx:
         raise ContextMismatch("ring element over a different context")
-    return _canon_module(ctx, field, {x: r})
+    if r.field != field:
+        raise FieldMismatch("ring element over a different field")
+    return module_from_terms(ctx, field, [(x, w, c) for w, c in r.terms])
 
 
 def xgen(ctx: FreeContext, field: PrimeField, x: int) -> ModuleElement:
-    return module_term(ctx, field, x, ring_one(ctx, field))
-
-
-def _check_module_pair(u: ModuleElement, v: ModuleElement) -> None:
-    _same_ctx(u, v)
-    if u.field != v.field:
-        raise FieldMismatch("module elements over different fields")
+    return module_from_terms(ctx, field, [(x, identity_word(ctx), 1)])
 
 
 def module_add(u: ModuleElement, v: ModuleElement) -> ModuleElement:
-    _check_module_pair(u, v)
-    acc = {x: r for x, r in u.parts}
-    for x, r in v.parts:
-        acc[x] = ring_add(acc[x], r) if x in acc else r
-    return _canon_module(u.context, u.field, acc)
+    _check_pair(u, v, "module")
+    return module_from_terms(u.context, u.field, [(x, w, c) for x, r in u.parts + v.parts for w, c in r.terms])
 
 
 def module_scale(lam: int, u: ModuleElement) -> ModuleElement:
-    return _canon_module(u.context, u.field, {x: ring_scale(lam, r) for x, r in u.parts})
+    return module_from_terms(u.context, u.field, [(x, w, lam * c) for x, r in u.parts for w, c in r.terms])
 
 
 def module_act(u: ModuleElement, r: RingElement) -> ModuleElement:
@@ -243,7 +239,11 @@ def module_act(u: ModuleElement, r: RingElement) -> ModuleElement:
         raise ContextMismatch("operands built over different contexts")
     if u.field != r.field:
         raise FieldMismatch("module/ring field mismatch")
-    return _canon_module(u.context, u.field, {x: ring_mul(s, r) for x, s in u.parts})
+    return module_from_terms(
+        u.context,
+        u.field,
+        [(x, multiply_words(w1, w2), c1 * c2) for x, s in u.parts for w1, c1 in s.terms for w2, c2 in r.terms],
+    )
 
 
 def module_key(u: ModuleElement) -> tuple:

@@ -38,9 +38,8 @@ from .freemod import (
     atom_key,
     equation_system,
     identity_word,
-    module_term,
+    module_from_terms,
     reduce_word,
-    ring_from_terms,
     word_value,
 )
 from .groups import FiniteGroup, _group_homs, hom_defect
@@ -806,9 +805,7 @@ def paper_witness_qid(ctx: FreeContext, field) -> QuasiIdentity:
     """The one-variable implication (x.y - x = 0) => (y = 1)."""
     y = reduce_word(ctx, [(0, 1)])
     one = identity_word(ctx)
-    u = module_term(
-        ctx, field, 0, ring_from_terms(ctx, field, [(y, 1), (one, -1)])
-    )
+    u = module_from_terms(ctx, field, [(0, y, 1), (0, one, -1)])
     return QuasiIdentity((ModuleAtom(u),), GroupAtom(y))
 
 

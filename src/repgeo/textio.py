@@ -28,16 +28,8 @@ from .freemod import (
     RingElement,
     equation_system,
     identity_word,
-    module_add,
-    module_scale,
-    module_term,
-    module_zero,
+    module_from_terms,
     reduce_word,
-    ring_add,
-    ring_from_terms,
-    ring_one,
-    ring_scale,
-    ring_zero,
 )
 from .groups import FiniteGroup, cyclic_group, group_from_table, product_group
 from .linalg import PrimeField
@@ -151,66 +143,66 @@ class _ExprParser:
     # -- words -------------------------------------------------------------
 
     def word(self) -> GroupWord:
-        # reduced once at the end: reducing at every "*" costs n^2 for n factors
-        letters = list(self.word_factor().letters)
-        while self.accept("*"):
-            letters += self.word_factor().letters
-        return reduce_word(self.ctx, letters)
-
-    def word_factor(self) -> GroupWord:
-        t = self.peek()
-        if self.accept("("):
-            w = self.word()
-            self.expect(")")
-            return w
-        if t.kind == "ident" and t.text in self.ctx.yvars:
-            self.pos += 1
-            e = 1
-            if self.accept("^"):
-                e = -self.integer() if self.accept("-") else self.integer()
-            return reduce_word(self.ctx, [(self.ctx.yindex(t.text), e)])
-        if t.kind == "ident" and t.text not in self.ctx.xvars:
-            raise UnknownVariable(t.text, t.span)
-        if t.text != "1":  # only an int reads "1"
-            self.fail("a y-variable" if t.kind == "ident" else "a word factor")
-        self.pos += 1
-        return identity_word(self.ctx)
+        """factor {"*" factor}, where a factor is a y-variable [^ [-]int],
+        "1" or "(" word ")".  Parentheses only group, so they are counted,
+        not recursed into; and the letters are reduced once at the end, as
+        reducing at every "*" costs n^2 for n factors."""
+        ctx, letters, depth = self.ctx, [], 0
+        while True:
+            while self.accept("("):
+                depth += 1
+            t = self.peek()
+            if t.kind == "ident" and t.text in ctx.yvars:
+                self.pos += 1
+                e = 1
+                if self.accept("^"):
+                    e = -self.integer() if self.accept("-") else self.integer()
+                letters.append((ctx.yindex(t.text), e))
+            elif t.text == "1":  # only an int reads "1"
+                self.pos += 1
+            elif t.kind == "ident" and t.text not in ctx.xvars:
+                raise UnknownVariable(t.text, t.span)
+            else:
+                self.fail("a y-variable" if t.kind == "ident" else "a word factor")
+            # after a factor: "*" and the next factor, or the ")" of each open "("
+            while not self.accept("*"):
+                if not depth:
+                    return reduce_word(ctx, letters)
+                self.expect(")")
+                depth -= 1
 
     # -- sums --------------------------------------------------------------
 
-    def signed_sum(self, term, scale, add):
-        """[+|-] term {(+|-) term}, added up."""
-        total = None
-        while total is None or self.peek().kind in ("+", "-"):
+    def signed_sum(self, term) -> list:
+        """[+|-] term {(+|-) term}, as one list of terms: term(sign) reads a
+        summand and returns its terms, the sign taken into their coefficients."""
+        terms = []
+        while True:
             # one sign per term: "-+x" fails at the "+"
-            sign = 1 if self.accept("+") else -1 if self.accept("-") else 1
-            t = scale(sign, term())
-            total = t if total is None else add(total, t)
-        return total
+            terms += term(1 if self.accept("+") else -1 if self.accept("-") else 1)
+            if self.peek().kind not in ("+", "-"):
+                return terms
 
-    def ringexpr(self) -> RingElement:
-        return self.signed_sum(self.ringterm, ring_scale, ring_add)
-
-    def ringterm(self) -> RingElement:
-        c = 1
+    def ringterm(self, sign: int) -> list[tuple[GroupWord, int]]:
+        c = sign
         if self.peek().kind == "int" and self.toks[self.pos + 1].kind == "*":
-            c = self.integer()
+            c *= self.integer()
             self.pos += 1  # "*"
         elif self.peek().text == "0":
             self.pos += 1
-            return ring_zero(self.ctx, self.field)
-        return ring_from_terms(self.ctx, self.field, [(self.word(), c)])
+            return []
+        return [(self.word(), c)]
 
     def modexpr(self) -> ModuleElement:
-        return self.signed_sum(self.modterm, module_scale, module_add)
+        return module_from_terms(self.ctx, self.field, self.signed_sum(self.modterm))
 
-    def modterm(self) -> ModuleElement:
-        c = 1
+    def modterm(self, sign: int) -> list[tuple[int, GroupWord, int]]:
+        c = sign
         if self.peek().kind == "int":
             if self.peek().text == "0" and self.toks[self.pos + 1].kind != "*":
                 self.pos += 1
-                return module_zero(self.ctx, self.field)
-            c = self.integer()
+                return []
+            c *= self.integer()
             self.expect("*")
         t = self.peek()
         if t.kind != "ident" or t.text not in self.ctx.xvars:
@@ -218,14 +210,14 @@ class _ExprParser:
                 raise UnknownVariable(t.text, t.span)
             self.fail("an x-variable")
         self.pos += 1
-        ring = ring_one(self.ctx, self.field)
-        if self.accept("*"):
-            if self.accept("("):
-                ring = self.ringexpr()
-                self.expect(")")
-            else:
-                ring = ring_from_terms(self.ctx, self.field, [(self.word(), 1)])
-        return module_term(self.ctx, self.field, self.ctx.xindex(t.text), ring_scale(c, ring))
+        x = self.ctx.xindex(t.text)
+        if not self.accept("*"):
+            return [(x, identity_word(self.ctx), c)]
+        if not self.accept("("):
+            return [(x, self.word(), c)]
+        terms = self.signed_sum(self.ringterm)
+        self.expect(")")
+        return [(x, w, c * d) for w, d in terms]
 
     # -- atoms and quasi-identities ----------------------------------------
 

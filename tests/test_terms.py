@@ -9,6 +9,7 @@ from test_groups import _GROUPS, _relabelled
 from repgeo import (
     Assignment,
     ContextMismatch,
+    FieldMismatch,
     FreeContext,
     GroupAtom,
     ModuleAtom,
@@ -34,7 +35,8 @@ from repgeo import (
     xgen,
     ygen,
 )
-from repgeo.freemod import word_key, word_value
+from repgeo.errors import InvalidInput
+from repgeo.freemod import module_from_terms, word_key, word_value
 
 CTX = FreeContext(("x",), ("y1", "y2"))
 GF2 = PrimeField(2)
@@ -287,3 +289,120 @@ def test_context_mismatch_raises():
         multiply_words(ygen(CTX, 0), ygen(other, 0))
     with pytest.raises(ContextMismatch):
         ring_add(ring_one(CTX, GF2), ring_one(other, GF2))
+
+
+# -- the canonical builders against a plain-dict reference -------------------
+
+
+def _expected(p, triples):
+    """sum(c * x.w) over (x, word, c) triples, added up in a plain dict and
+    laid out as canonical parts: x ascending, each x's nonzero terms in the
+    naive shortlex order, coefficients in [1, p)."""
+    acc = {}
+    for x, w, c in triples:
+        acc[x, w] = acc.get((x, w), 0) + c
+    parts = {}
+    for (x, w), c in acc.items():
+        if c % p:
+            parts.setdefault(x, []).append((w, c % p))
+    return tuple((x, tuple(sorted(parts[x], key=lambda t: naive_word_key(t[0])))) for x in sorted(parts))
+
+
+def _layout(u):
+    return tuple((x, r.terms) for x, r in u.parts)
+
+
+def _ring_layout(r):
+    return ((0, r.terms),) if r.terms else ()
+
+
+def _random_pairs(rng, p, words):
+    # words repeat, and coefficients run past p and below 0
+    return [(rng.choice(words), rng.randint(-2 * p, 2 * p)) for _ in range(rng.randint(0, 6))]
+
+
+def _product(pairs1, pairs2):
+    return [(reduce_word(CTX, w1.letters + w2.letters), c1 * c2) for w1, c1 in pairs1 for w2, c2 in pairs2]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ring_builders_match_a_plain_dict(p):
+    rng = random.Random(300 + p)
+    field = PrimeField(p)
+    words = [reduce_word(CTX, [(rng.randint(0, 1), rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))]) for _ in range(6)]
+    for _ in range(200):
+        a, b = _random_pairs(rng, p, words), _random_pairs(rng, p, words)
+        lam = rng.randint(-2 * p, 2 * p)
+        r, s = ring_from_terms(CTX, field, a), ring_from_terms(CTX, field, b)
+        assert _ring_layout(r) == _expected(p, [(0, w, c) for w, c in a])
+        assert _ring_layout(ring_add(r, s)) == _expected(p, [(0, w, c) for w, c in a + b])
+        assert _ring_layout(ring_scale(lam, r)) == _expected(p, [(0, w, lam * c) for w, c in a])
+        assert _ring_layout(ring_mul(r, s)) == _expected(p, [(0, w, c) for w, c in _product(a, b)])
+        # cancellation to zero
+        assert ring_add(r, ring_scale(-1, r)).is_zero()
+        assert ring_scale(p, r).is_zero()
+        for t in (r, s, ring_add(r, s), ring_mul(r, s)):
+            assert (t.context, t.field) == (CTX, field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_module_builders_match_a_plain_dict(p):
+    ctx = FreeContext(("x1", "x2", "x3"), CTX.yvars)
+    rng = random.Random(400 + p)
+    field = PrimeField(p)
+    words = [reduce_word(ctx, [(rng.randint(0, 1), rng.randint(-2, 2)) for _ in range(rng.randint(0, 3))]) for _ in range(6)]
+
+    def triples():
+        return [(rng.randrange(3), rng.choice(words), rng.randint(-2 * p, 2 * p)) for _ in range(rng.randint(0, 6))]
+
+    for _ in range(200):
+        a, b = triples(), triples()
+        pairs = _random_pairs(rng, p, words)
+        x, lam = rng.randrange(3), rng.randint(-2 * p, 2 * p)
+        u, v = module_from_terms(ctx, field, a), module_from_terms(ctx, field, b)
+        r = ring_from_terms(ctx, field, pairs)
+        assert _layout(u) == _expected(p, a)
+        assert _layout(module_term(ctx, field, x, r)) == _expected(p, [(x, w, c) for w, c in pairs])
+        assert _layout(module_add(u, v)) == _expected(p, a + b)
+        assert _layout(module_scale(lam, u)) == _expected(p, [(x, w, lam * c) for x, w, c in a])
+        acted = [(x, reduce_word(ctx, w1.letters + w2.letters), c1 * c2) for x, w1, c1 in a for w2, c2 in pairs]
+        assert _layout(module_act(u, r)) == _expected(p, acted)
+        assert module_add(u, module_scale(p - 1, u)).is_zero()
+        for t in (u, module_add(u, v), module_act(u, r)):
+            assert (t.context, t.field) == (ctx, field)
+            assert all((q.context, q.field) == (ctx, field) for _, q in t.parts)
+
+
+def test_builders_reject_mixed_operands():
+    other = FreeContext(("x",), ("z",))
+    y, z = ygen(CTX, 0), ygen(other, 0)
+    one, other_one = ring_one(CTX, GF3), ring_one(other, GF3)
+    u = xgen(CTX, GF3, 0)
+    for build in (
+        lambda: ring_from_terms(CTX, GF3, [(y, 1), (z, 1)]),
+        lambda: module_from_terms(CTX, GF3, [(0, z, 1)]),
+        lambda: ring_add(one, other_one),
+        lambda: ring_mul(one, other_one),
+        lambda: module_term(CTX, GF3, 0, other_one),
+        lambda: module_add(u, xgen(other, GF3, 0)),
+        lambda: module_act(u, other_one),
+    ):
+        with pytest.raises(ContextMismatch):
+            build()
+    for build in (
+        lambda: ring_add(one, ring_one(CTX, GF2)),
+        lambda: ring_mul(one, ring_one(CTX, GF2)),
+        lambda: module_add(u, xgen(CTX, GF2, 0)),
+        lambda: module_act(u, ring_one(CTX, GF2)),
+        # a GF(2) ring is not read mod 3
+        lambda: module_term(CTX, GF3, 0, ring_one(CTX, GF2)),
+    ):
+        with pytest.raises(FieldMismatch):
+            build()
+    for build in (
+        lambda: module_from_terms(CTX, GF3, [(1, y, 1)]),
+        lambda: module_term(CTX, GF3, 1, ring_zero(CTX, GF3)),
+        lambda: xgen(CTX, GF3, -1),
+    ):
+        with pytest.raises(InvalidInput, match="out of range"):
+            build()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repgeo import (
+    Assignment,
     FreeContext,
     GroupAtom,
     GroupWord,
@@ -22,6 +24,7 @@ from repgeo import (
     bounded_module_elements,
     bounded_words,
     equation_system,
+    eval_module,
     identity_word,
     infer_context,
     parse_atom,
@@ -112,6 +115,156 @@ def test_long_word_parses_in_linear_time():
     w = parse_word("*".join(["y", "z"] * 6000 + ["z^-1", "y^-1"]), ctx)
     assert time.perf_counter() - start < 5
     assert w.letters == ((0, 1), (1, 1)) * 5999
+
+
+DEEP = "(" * 5000 + "y*z^-1" + ")" * 5000
+
+
+def test_deeply_nested_word_parses_as_the_word():
+    # parentheses only group: 5,000 of them read in one pass, with no
+    # recursion per level, in a module term's word and in a group atom
+    ctx = FreeContext(("x",), ("y", "z"))
+    deep = parse_qid(f"x*{DEEP} - x = 0 => {DEEP} = 1", ctx, GF3)
+    assert deep == parse_qid("x*y*z^-1 - x = 0 => y*z^-1 = 1", ctx, GF3)
+    text = "xvars x\nyvars y z\ngroup: {} = 1\n"
+    assert parse_system_file(text.format(DEEP), GF3) == parse_system_file(text.format("y*z^-1"), GF3)
+
+
+def test_deeply_unclosed_word_expects_a_parenthesis_at_the_end():
+    text = "=> " + "(" * 5000 + "y"
+    with pytest.raises(ParseError) as e:
+        parse_qid(text, CTX, GF2)
+    assert str(e.value) == f"1:{len(text) + 1}: expected )"
+
+
+def test_deeply_nested_word_through_the_cli(tmp_path, capsys):
+    path = tmp_path / "r.rep"
+    path.write_text("field p=2\ngroup cyclic(2) as a\ndim 1\nact a = [[1]]\n", encoding="utf-8")
+    deep = "(" * 5000 + "y" + ")" * 5000
+    assert main(["--json", "qid", str(path), f"{deep} = 1 => x*y - x = 0"]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "fulfilled"
+    text = "=> " + "(" * 5000 + "y"
+    assert main(["--json", "qid", str(path), text]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["outcome"] == "error"
+    assert doc["span"] == {"line": 1, "column": len(text) + 1, "length": 1}
+
+
+@pytest.mark.parametrize("shape", ["x*y^{k}", "x*(y^{k})", "x{k}"])
+def test_long_sum_parses_in_linear_time(shape):
+    # 4,000 distinct terms, so nothing cancels on the way: about 0.1 s when
+    # the sum is canonicalised once, over 15 s when each "+" builds the sum
+    # read so far
+    n = 4000
+    if shape == "x*(y^{k})":
+        text = "x*(" + " + ".join(f"y^{k}" for k in range(1, n + 1)) + ")"
+    else:
+        text = " + ".join(shape.format(k=k) for k in range(1, n + 1))
+    ctx = infer_context(text)
+    start = time.perf_counter()
+    u = parse_term(text, ctx, GF3)
+    assert time.perf_counter() - start < 5
+    assert u.num_terms() == n
+
+
+def _random_word(rng, depth=0):
+    """A word as text, with its letters as read: y and z powers, "1"
+    factors and parenthesised words nested up to three deep."""
+    texts, letters = [], []
+    for _ in range(rng.randint(1, 3)):
+        roll = rng.random()
+        if roll < 0.2 and depth < 3:
+            text, inner = _random_word(rng, depth + 1)
+            opens = rng.randint(1, 3)
+            texts.append("(" * opens + text + ")" * opens)
+            letters += inner
+        elif roll < 0.3:
+            texts.append("1")
+        else:
+            v, e = rng.randrange(2), rng.choice((1, 1, 2, 3, -1, -2))
+            texts.append("yz"[v] + ("" if e == 1 else f"^{e}"))
+            letters.append((v, e))
+    return "*".join(texts), letters
+
+
+def _random_sum(rng, p, summand):
+    """[+|-] summand {(+|-) summand} as text, with its (letters, c) or
+    (x, letters, c) terms, the sign folded into c.  A summand may repeat
+    an earlier one, with either sign, so that terms add up and cancel."""
+    texts, terms, seen = [], [], []
+    for i in range(rng.randint(1, 5)):
+        body, body_terms = rng.choice(seen) if seen and rng.random() < 0.3 else summand()
+        seen.append((body, body_terms))
+        sign = rng.choice((1, -1))
+        lead = "-" if sign < 0 else "+" if i or rng.random() < 0.3 else ""
+        texts.append(f"{lead} {body}" if lead else body)
+        terms += [(*t[:-1], sign * t[-1]) for t in body_terms]
+    return " ".join(texts), terms
+
+
+def _coefficient(rng, p):
+    c = rng.choice((None, 0, 1, 2, p - 1, p, p + 1, 2 * p + 3))
+    return ("", 1) if c is None else (f"{c}*", c)
+
+
+def _ring_summand(rng, p):
+    if rng.random() < 0.1:
+        return "0", []
+    prefix, c = _coefficient(rng, p)
+    text, letters = _random_word(rng)
+    return prefix + text, [(letters, c)]
+
+
+def _module_summand(rng, p):
+    if rng.random() < 0.1:
+        return "0", []
+    prefix, c = _coefficient(rng, p)
+    x = rng.randrange(2)
+    name = prefix + ("x1", "x2")[x]
+    roll = rng.random()
+    if roll < 0.3:
+        return name, [(x, [], c)]
+    if roll < 0.6:
+        text, letters = _random_word(rng)
+        # "x*(" opens a ring sum, so a lone word is led by a "1" factor
+        return f"{name}*1*{text}", [(x, letters, c)]
+    text, terms = _random_sum(rng, p, lambda: _ring_summand(rng, p))
+    return f"{name}*({text})", [(x, letters, c * d) for letters, d in terms]
+
+
+def _value_at(rep, xmap, ymap, terms):
+    """sum(c * xmap[x] . act(w)) by table lookups and vector sums: w's
+    element by multiplying letter by letter, the vector as the sum of the
+    act matrix's rows weighted by xmap[x]'s entries."""
+    g, p = rep.group, rep.p
+    out = [0] * rep.dim
+    for x, letters, c in terms:
+        h = 0
+        for v, e in letters:
+            gen = ymap[v] if e > 0 else g.inverses[ymap[v]]
+            for _ in range(abs(e)):
+                h = g.table[h][gen]
+        for vi, row in zip(xmap[x], rep.act[h]):
+            out = [(o + c * vi * a) % p for o, a in zip(out, row)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_flat_formulas_evaluate_as_their_terms(p):
+    rng = random.Random(500 + p)
+    ctx = FreeContext(("x1", "x2"), ("y", "z"))
+    for _ in range(3):
+        rep = random_representation(rng, primes=(p,), dims=(1,))
+        points = [
+            Assignment(rep, xmap, ymap)
+            for xmap in itertools.product(rep.vectors(), repeat=2)
+            for ymap in itertools.product(range(rep.group.order), repeat=2)
+        ]
+        for _ in range(15):
+            text, terms = _random_sum(rng, p, lambda: _module_summand(rng, p))
+            u = parse_term(text, ctx, rep.field)
+            for asg in points:
+                assert eval_module(asg, u) == _value_at(rep, asg.xmap, asg.ymap, terms), text
 
 
 def test_infer_context():
