@@ -17,8 +17,8 @@ class EnumerationCaps:
     max_dim: int = 8
     # candidate generator-image tuples when enumerating group homs
     max_hom_candidates: int = 2**20
-    # matrices enumerated per group hom when solving equivariance systems,
-    # checked on each group hom a consumer of the hom stream reaches
+    # intertwiners listed per group hom: checked by the rep hom listing on each
+    # group hom it reaches, and by rep_isomorphic on each bijective one
     max_matrices_per_beta: int = 2**20
     # points |V|^|X| * |G|^|Y| of an assignment space, checked before any
     # decider looks at one (the deciders then visit only the |G|^|Y| group

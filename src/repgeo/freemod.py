@@ -31,17 +31,24 @@ class FreeContext:
         names = self.xvars + self.yvars
         if len(set(names)) != len(names):
             raise InvalidInput("variable names not distinct")
+        # each name's index, and the hash that every word's hash takes, once
+        object.__setattr__(self, "_xindex", {v: i for i, v in enumerate(self.xvars)})
+        object.__setattr__(self, "_yindex", {v: i for i, v in enumerate(self.yvars)})
+        object.__setattr__(self, "_hash", hash((self.xvars, self.yvars)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def xindex(self, name: str) -> int:
         try:
-            return self.xvars.index(name)
-        except ValueError:
+            return self._xindex[name]
+        except KeyError:
             raise InvalidInput(f"no x-variable {name!r}") from None
 
     def yindex(self, name: str) -> int:
         try:
-            return self.yvars.index(name)
-        except ValueError:
+            return self._yindex[name]
+        except KeyError:
             raise InvalidInput(f"no y-variable {name!r}") from None
 
 

@@ -46,7 +46,7 @@ from .groups import FiniteGroup, _group_homs, hom_defect
 from .linalg import kernel_rref, span_elements, vec_mat, zero_vec
 from .reps import (
     Representation,
-    _rep_homs,
+    _drawn,
     check_rep_hom,
     faithful_image,
     kernel_of_matrix_family,
@@ -629,14 +629,22 @@ def separates_points(
     """Choose homs from the in-order stream while they cut the joint kernel
     on the group elements or, for representations, on the vectors; groups
     have no vector kernel.  Returns the certificate, or a "forward" witness:
-    a pair that no hom separates."""
+    a pair that no hom separates.
+
+    For representations, each group hom beta gives the zero matrix and then
+    its RREF intertwiner basis b_0..b_{k-1}, last first: what its whole span
+    gives, as only a cut of the vector kernel chooses a second matrix, and
+    once span_elements passes b_i, no combination of b_i..b_{k-1} cuts it."""
     if isinstance(source, FiniteGroup) and isinstance(target, FiniteGroup):
         g, image, pair, basis = source, attrgetter("image"), "", []
         homs = _group_homs(source, target, caps)
     elif isinstance(source, Representation) and isinstance(target, Representation):
+        if source.field != target.field:
+            raise FieldMismatch("representations over different fields")
         g, image, pair = source.group, attrgetter("grouphom.image"), " group pair"
         basis = kernel_of_matrix_family(source.p, [], source.dim)  # of the joint vector kernel
-        homs = _rep_homs(source, target, caps)
+        zero, betas = zero_vec(source.dim * target.dim), _group_homs(source.group, target.group, caps)
+        homs = _drawn(source, target, betas, lambda b: [zero, *b[::-1]])
     else:
         raise InvalidInput("source and target must both be groups or both representations")
     kernel = list(range(1, g.order))

@@ -7,6 +7,7 @@ with the row-vector right-action convention v . act[g].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
@@ -184,68 +185,67 @@ def enumerate_rep_homs(
     return list(_rep_homs(r, s, caps))
 
 
-def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> Iterator[RepHom]:
-    """The representation homomorphisms (alpha, beta): R -> S, drawn lazily.
+def _intertwiners(r: Representation, s: Representation, images: Sequence[int]) -> list[Vector]:
+    """The RREF basis (linalg.kernel_rref) of the flat dim(r) x dim(s)
+    matrices A with act_r(g_j) . A = A . act_s(images[j]) at the greedy
+    generators g_j of R's group.  For the images of a group hom beta that is
+    beta's whole intertwiner space: act_r, act_s and beta are homs, so if A
+    intertwines at g and at a generator t, it does at g * t, and every
+    element is reached from 1 along such Cayley-graph edges."""
+    nunk = r.dim * s.dim
+    rows = []
+    for g, y in zip(r.group._generators, images):
+        ra, sa = r.act[g], s.act[y]
+        for i, j in product(range(r.dim), range(s.dim)):
+            row = [0] * nunk  # (act_r(g) . A - A . act_s(y))[i][j], reduced by kernel_rref
+            for k in range(r.dim):
+                row[k * s.dim + j] += ra[i][k]
+            for l in range(s.dim):
+                row[i * s.dim + l] -= sa[l][j]
+            rows.append(row)
+    return kernel_rref(r.p, rows, nunk)
 
-    For each group hom beta the equivariance conditions
-    act_r(g) . A = A . act_s(beta(g)) are linear in the entries of the
-    matrix A; we enumerate the nullspace.  The equations are written for
-    the greedy generators of R's group only (``FiniteGroup._generators``).  That is
-    exact: act_r, act_s and beta are homomorphisms, so if A intertwines at
-    g and at a generator t, it intertwines at g * t, and every element is
-    reached from the identity along such Cayley-graph edges.  Order is
-    deterministic: beta image table first, then matrix entries, the order in
-    which span_elements draws the span of an RREF basis (see
-    geometry._least_violation).  Fields and caps are checked on the call,
-    max_matrices_per_beta on each beta reached.
-    """
+
+def _drawn(r: Representation, s: Representation, betas: Iterator[GroupHom], draw) -> Iterator[RepHom]:
+    """RepHom(r, s, A, beta) for each beta of betas and each flat A that
+    draw picks from beta's intertwiner basis."""
+    gens = r.group._generators
+    return (RepHom(r, s, tuple(zip(*[iter(a)] * s.dim)), beta) for beta in betas
+            for a in draw(_intertwiners(r, s, [beta.image[g] for g in gens])))
+
+
+def _span(p: int, n: int, caps: EnumerationCaps, basis: list[Vector]) -> Iterator[Vector]:
+    """The draw that lists a basis's whole span, once its size is checked."""
+    if (count := p ** len(basis)) > caps.max_matrices_per_beta:
+        raise EnumerationCapExceeded(caps.max_matrices_per_beta, count, "matrices per beta")
+    return span_elements(p, basis, n)
+
+
+def _rep_homs(r: Representation, s: Representation, caps: EnumerationCaps) -> Iterator[RepHom]:
+    """The representation homomorphisms (alpha, beta): R -> S, drawn lazily:
+    group homs beta in image-table order, each with its whole span (_span)
+    in span_elements order (see geometry._least_violation).  Fields and caps
+    are checked on the call, max_matrices_per_beta on each beta reached."""
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
     betas = _group_homs(r.group, s.group, caps)
-    p, nunk = r.p, r.dim * s.dim
-
-    def solve():
-        for beta in betas:
-            rows = []
-            for g in r.group._generators:
-                ra = r.act[g]
-                sa = s.act[beta.image[g]]
-                for i in range(r.dim):
-                    for j in range(s.dim):
-                        row = [0] * nunk
-                        for k in range(r.dim):
-                            row[k * s.dim + j] = (row[k * s.dim + j] + ra[i][k]) % p
-                        for l in range(s.dim):
-                            row[i * s.dim + l] = (row[i * s.dim + l] - sa[l][j]) % p
-                        rows.append(row)
-            basis = kernel_rref(p, rows, nunk)
-            count = p ** len(basis)
-            if count > caps.max_matrices_per_beta:
-                raise EnumerationCapExceeded(caps.max_matrices_per_beta, count, "matrices per beta")
-            for e in span_elements(p, basis, nunk):
-                m = tuple(tuple(e[i * s.dim : (i + 1) * s.dim]) for i in range(r.dim))
-                yield RepHom(r, s, m, beta)
-
-    return solve()
+    return _drawn(r, s, betas, partial(_span, r.p, r.dim * s.dim, caps))
 
 
 def rep_isomorphic(
     r: Representation, s: Representation, caps: EnumerationCaps = DEFAULT_CAPS
 ) -> RepHom | None:
-    """First isomorphism in enumeration order, or None."""
+    """First isomorphism in enumeration order, or None; solves bijective betas only."""
     if r.field != s.field:
         raise FieldMismatch("representations over different fields")
     if r.dim != s.dim or r.group.order != s.group.order:
         return None
-    isos = (h for h in _rep_homs(r, s, caps) if h.grouphom.is_bijective())
+    betas = filter(GroupHom.is_bijective, _group_homs(r.group, s.group, caps))
+    isos = _drawn(r, s, betas, partial(_span, r.p, r.dim * s.dim, caps))
     return next((h for h in isos if is_invertible(r.p, h.matrix)), None)
 
 
 def kernel_of_matrix_family(p: int, mats: Sequence[Matrix], dim: int) -> list[Vector]:
     """Basis of the joint left kernel {v : v . A = 0 for every A}."""
-    # stack the columns of every matrix as equation rows on v
-    rows = []
-    for a in mats:
-        for col in zip(*a):
-            rows.append(list(col))
-    return nullspace(p, rows, dim)
+    # the columns of every matrix are the equation rows on v
+    return nullspace(p, [col for a in mats for col in zip(*a)], dim)

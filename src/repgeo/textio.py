@@ -152,7 +152,7 @@ class _ExprParser:
             while self.accept("("):
                 depth += 1
             t = self.peek()
-            if t.kind == "ident" and t.text in ctx.yvars:
+            if t.kind == "ident" and t.text in ctx._yindex:
                 self.pos += 1
                 e = 1
                 if self.accept("^"):
@@ -160,7 +160,7 @@ class _ExprParser:
                 letters.append((ctx.yindex(t.text), e))
             elif t.text == "1":  # only an int reads "1"
                 self.pos += 1
-            elif t.kind == "ident" and t.text not in ctx.xvars:
+            elif t.kind == "ident" and t.text not in ctx._xindex:
                 raise UnknownVariable(t.text, t.span)
             else:
                 self.fail("a y-variable" if t.kind == "ident" else "a word factor")
@@ -205,8 +205,8 @@ class _ExprParser:
             c *= self.integer()
             self.expect("*")
         t = self.peek()
-        if t.kind != "ident" or t.text not in self.ctx.xvars:
-            if t.kind == "ident" and t.text not in self.ctx.yvars:
+        if t.kind != "ident" or t.text not in self.ctx._xindex:
+            if t.kind == "ident" and t.text not in self.ctx._yindex:
                 raise UnknownVariable(t.text, t.span)
             self.fail("an x-variable")
         self.pos += 1

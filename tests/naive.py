@@ -15,8 +15,9 @@ through the package's module addition (its words come from raw letter
 strings reduced and ordered here), and the rep hom oracle solves its
 intertwiner equations, one block per group element, with the elimination
 written out here (rref, pivots from the first column rightwards), which
-also serves as the linear algebra oracle.  The action-law oracle
-multiplies every pair of matrices.  The separation oracle takes its homs
+also serves as the linear algebra oracle; the isomorphism oracle takes
+the first of those homs with a bijective group hom and a matrix of full
+rank.  The action-law oracle multiplies every pair of matrices.  The separation oracle takes its homs
 from the package's enumerators, sorted here, and its joint vector kernels
 from the package's kernel_of_matrix_family.
 """
@@ -481,6 +482,15 @@ def naive_rep_homs(r, s):
             m = tuple(tuple(e[i * s.dim : (i + 1) * s.dim]) for i in range(r.dim))
             out.append((image, m))
     return out
+
+
+def naive_rep_isomorphic(r, s):
+    """The first (beta image table, matrix) of naive_rep_homs whose beta is
+    bijective and whose matrix has full rank, or None."""
+    if r.dim != s.dim or r.group.order != s.group.order:
+        return None
+    isos = ((image, m) for image, m in naive_rep_homs(r, s) if len(set(image)) == len(image))
+    return next(((image, m) for image, m in isos if rank(r.p, m) == r.dim), None)
 
 
 # -- the action law at every pair of elements ---------------------------------

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations, permutations, product
@@ -55,7 +56,7 @@ from repgeo import (
     xgen,
     ygen,
 )
-from repgeo import geometry, linalg
+from repgeo import geometry, linalg, reps
 from repgeo.audit import build_demo_reps
 from repgeo.config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps
 from repgeo.errors import (
@@ -103,6 +104,7 @@ from naive import (
     trees_to_qid,
 )
 from test_groups import _GROUPS, _relabelled
+from test_metamorphic import _sums_of_dim_3
 
 
 def _ctx():
@@ -514,10 +516,17 @@ def test_rep_separation_matches_the_whole_list_greedy():
         r = random_representation(rng)
         pairs.append((r, random_representation(rng, primes=(r.p,))))
     pairs += [tuple(_cyclic_power_rep(rng, 3, 5, 12) for _ in range(2)) for _ in range(4)]
+    # sums R⊕S of dim 3 over one catalog group, beside themselves and beside
+    # a rep over their field
+    for a in _sums_of_dim_3(rng, 10):
+        b = random_representation(rng, primes=(a.p,))
+        pairs += [(a, b), (b, a), (a, a)]
     seen = set()
     for r, s in pairs:
         out = separates_points(r, s)
         assert out == naive_separate(r, s)
+        if r.dim == 3 and r.p < 5:
+            seen.add(("dim 3", type(out)))
         if isinstance(out, InseparabilityWitness):
             seen.add(out.sort)
         else:
@@ -525,7 +534,8 @@ def test_rep_separation_matches_the_whole_list_greedy():
             # homs chosen for group pairs and homs chosen for the vector kernel
             notes = [n.split()[1:3] for n in out.notes]
             seen |= {tuple(sorted({kind for i, kind in notes if i == j})) for j, _ in notes}
-    assert seen >= {None, "group", "vector", ("cuts",), ("separates",)}
+    assert seen >= {None, "group", "vector", ("cuts",), ("separates",),
+                    ("dim 3", SeparationCertificate), ("dim 3", InseparabilityWitness)}
 
 
 def test_self_separation_stops_at_the_first_injective_prefix():
@@ -559,8 +569,51 @@ def test_per_beta_cap_is_checked_on_the_betas_separation_reaches():
         enumerate_rep_homs(r, s, caps)
     cert = separates_points(r, s, caps)
     assert [h.grouphom.image for h in cert.homs] == [(0, 1), (0, 1)]
-    with pytest.raises(EnumerationCapExceeded, match="needs 3 > cap 2"):
-        separates_points(r, s, EnumerationCaps(max_matrices_per_beta=2))
+    # separation draws each beta's zero matrix and basis, not its span, so
+    # the cap on listed matrices does not bound it
+    assert separates_points(r, s, EnumerationCaps(max_matrices_per_beta=1)) == cert
+
+
+def test_separation_draws_at_most_the_zero_matrix_and_a_basis_per_beta(monkeypatch):
+    drawn = Counter()
+
+    def counted(r, s, betas, draw):
+        for h in reps._drawn(r, s, betas, draw):
+            drawn[h.grouphom] += 1
+            yield h
+
+    monkeypatch.setattr(geometry, "_drawn", counted)
+    rng = random.Random(8)
+    pairs = [(random_representation(rng, primes=(p,)), random_representation(rng, primes=(p,)))
+             for p in (2, 3) for _ in range(20)]
+    pairs += [(a, a) for a in _sums_of_dim_3(rng, 4)]
+    most = 0
+    for r, s in pairs:
+        drawn.clear()
+        separates_points(r, s)
+        for beta, count in drawn.items():
+            assert count <= 1 + len(reps._intertwiners(r, s, [beta.image[g] for g in r.group._generators]))
+        most = max(most, *drawn.values())
+    assert most > 2
+
+
+@pytest.mark.parametrize("dim", [5, 6])
+def test_trivial_group_self_separation_draws_the_basis_not_the_span(dim):
+    # every matrix intertwines the trivial group on GF(2)^dim with itself:
+    # a span of 2^(dim^2) matrices, over the listing cap of 2^20, while the
+    # dim matrix units of its basis that cut the kernel separate
+    r = make_representation(PrimeField(2), dim, trivial_group(), {})
+    cert = separates_points(r, r)
+    assert len(cert.homs) == dim
+    assert validate_separation_certificate(cert)
+    with pytest.raises(EnumerationCapExceeded, match=f"needs {2 ** dim ** 2} > cap"):
+        enumerate_rep_homs(r, r)
+
+
+def test_separation_checks_the_fields(trivial_rep):
+    other = make_representation(PrimeField(3), 2, trivial_rep.group, {"a": [[1, 0], [0, 1]]})
+    with pytest.raises(FieldMismatch):
+        separates_points(trivial_rep, other)
 
 
 # -- geo equivalence ---------------------------------------------------------

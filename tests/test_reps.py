@@ -36,9 +36,10 @@ from repgeo.reps import _rep_homs
 from repgeo.sampling import general_linear_group, random_representation
 from repgeo.textio import serialize, serialize_group
 
-from naive import naive_action_defect, naive_rep_homs
+from naive import naive_action_defect, naive_rep_homs, naive_rep_isomorphic
 from test_geometry import _cyclic_power_rep
 from test_groups import _GROUPS, _relabelled
+from test_metamorphic import _conjugate
 
 
 def test_r1_action_examples(r1):
@@ -421,6 +422,34 @@ def test_rep_hom_stream_checks_field_and_caps_before_drawing(trivial_rep):
         _rep_homs(trivial_rep, other, EnumerationCaps())
     with pytest.raises(EnumerationCapExceeded, match="hom search"):
         _rep_homs(trivial_rep, trivial_rep, EnumerationCaps(max_hom_candidates=1))
+
+
+def test_rep_isomorphic_solves_only_bijective_betas():
+    # Z2 by diag(1, 1, 2) on GF(3)^3 into itself: the trivial beta has 3^6
+    # intertwiners, the bijective one 3^5, and listing raises on the first
+    r = make_representation(PrimeField(3), 3, cyclic_group(2, "a"), {"a": [[1, 0, 0], [0, 1, 0], [0, 0, 2]]})
+    caps = EnumerationCaps(max_matrices_per_beta=243)
+    with pytest.raises(EnumerationCapExceeded, match="needs 729 > cap 243"):
+        enumerate_rep_homs(r, r, caps)
+    iso = rep_isomorphic(r, r, caps)
+    assert iso == rep_isomorphic(r, r, EnumerationCaps(max_matrices_per_beta=729))
+    assert iso.grouphom.image == (0, 1) and check_rep_hom(iso) and is_invertible(3, iso.matrix)
+
+
+def test_rep_isomorphic_matches_the_first_iso_of_the_whole_list():
+    # the rep hom pairs, and reps beside a conjugate of themselves, which is
+    # isomorphic to them (conjugates are drawn from all p^(dim^2) matrices,
+    # so only where that is small)
+    rng = random.Random(31)
+    pairs = _rep_hom_pairs()
+    sources = [r for r, _ in pairs] + [_cyclic_power_rep(rng, 3, 2, 7) for _ in range(4)]
+    pairs += [(r, _conjugate(r, rng)) for r in sources if r.p ** (r.dim * r.dim) <= 512]
+    found = set()
+    for r, s in pairs:
+        iso = rep_isomorphic(r, s)
+        assert (None if iso is None else (iso.grouphom.image, iso.matrix)) == naive_rep_isomorphic(r, s)
+        found.add((r.dim, iso is not None))
+    assert found >= {(d, f) for d in (1, 2, 3) for f in (True, False)}
 
 
 def test_max_matrices_per_beta_cap(trivial_rep):

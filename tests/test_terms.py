@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -281,6 +282,19 @@ def test_eval_factors_through_canonical_form(r1):
         for vidx, e in raw:
             acc = r1.group.table[acc][r1.group.power(asg.ymap[vidx], e)]
         assert acc == eval_word(asg, w)
+
+
+def test_context_equality_and_hash_are_on_the_names_only():
+    # the index maps and the hash are computed once, outside the fields
+    a, b = FreeContext(("x1", "x2"), ("y",)), FreeContext(("x1", "x2"), ("y",))
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != FreeContext(("x2", "x1"), ("y",)) and a != FreeContext(("x1", "x2"), ("z",))
+    assert repr(a) == "FreeContext(xvars=('x1', 'x2'), yvars=('y',))"
+    assert [f.name for f in fields(a)] == ["xvars", "yvars"]
+    assert (a.xindex("x2"), a.yindex("y")) == (1, 0)
+    for lookup, name in ((a.xindex, "y"), (a.yindex, "x1")):
+        with pytest.raises(InvalidInput):
+            lookup(name)
 
 
 def test_context_mismatch_raises():
