@@ -14,7 +14,7 @@ their canonical tuples directly, already in order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ContextMismatch, FieldMismatch, InvalidInput
 from .groups import FiniteGroup
@@ -283,7 +283,7 @@ class GroupAtom:
         return self.word.context
 
 
-Atom = Union[ModuleAtom, GroupAtom]
+Atom = ModuleAtom | GroupAtom
 
 
 def atom_key(a: Atom) -> tuple:

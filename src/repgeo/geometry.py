@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cache, lru_cache, partial
 from itertools import combinations, product
 from operator import attrgetter, getitem, itemgetter, mul
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_BOUNDS, DEFAULT_CAPS, EnumerationCaps, SearchBounds
 from .errors import FieldMismatch, InvalidInput, SearchSpaceCapExceeded
@@ -215,7 +215,7 @@ def in_closure(
 
 def in_at_closure(
     rep: Representation,
-    t: Union[EquationSystem, Sequence[ModuleElement]],
+    t: EquationSystem | Sequence[ModuleElement],
     u: ModuleElement,
     caps: EnumerationCaps = DEFAULT_CAPS,
 ) -> bool:
@@ -625,7 +625,7 @@ def _split_kernel(g: FiniteGroup, kernel: list[int], image: Sequence[int], label
 
 def separates_points(
     source, target, caps: EnumerationCaps = DEFAULT_CAPS
-) -> Union[SeparationCertificate, InseparabilityWitness]:
+) -> SeparationCertificate | InseparabilityWitness:
     """Choose homs from the in-order stream while they cut the joint kernel
     on the group elements or, for representations, on the vectors; groups
     have no vector kernel.  Returns the certificate, or a "forward" witness:
@@ -669,9 +669,9 @@ def separates_points(
 
 
 def validate_separation_certificate(cert: SeparationCertificate) -> bool:
-    """Re-check a certificate through the definitional route: validate
-    every hom by direct sweep and check injectivity pair by pair (and
-    vector by vector), independently of the greedy construction."""
+    """Re-check a certificate independently of the greedy construction:
+    every hom by direct sweep, injectivity pair by pair and, for
+    representations, a zero joint vector kernel by one elimination."""
     src = cert.source
     if isinstance(src, FiniteGroup):
         g, images = src, [h.image for h in cert.homs]
@@ -685,8 +685,8 @@ def validate_separation_certificate(cert: SeparationCertificate) -> bool:
         for j in range(i + 1, g.order):
             if not any(image[i] != image[j] for image in images):
                 return False
-    return isinstance(src, FiniteGroup) or all(
-        any(any(vec_mat(src.p, v, h.matrix)) for h in cert.homs) for v in src.vectors() if any(v)
+    return isinstance(src, FiniteGroup) or not kernel_of_matrix_family(
+        src.p, [h.matrix for h in cert.homs], src.dim
     )
 
 
@@ -709,7 +709,7 @@ class Unknown:
     bounds: SearchBounds
 
 
-Verdict = Union[Equivalent, NotEquivalent, Unknown]
+Verdict = Equivalent | NotEquivalent | Unknown
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ also serves as the linear algebra oracle; the isomorphism oracle takes
 the first of those homs with a bijective group hom and a matrix of full
 rank.  The action-law oracle multiplies every pair of matrices.  The separation oracle takes its homs
 from the package's enumerators, sorted here, and its joint vector kernels
-from the package's kernel_of_matrix_family.
+from the package's kernel_of_matrix_family.  The certificate oracle checks
+every hom against the whole multiplication table and every element's
+matrices, every pair of group elements, and every nonzero vector of the
+source, with each product multiplied out here.
 """
 
 from __future__ import annotations
@@ -554,3 +557,38 @@ def naive_separate(source, target):
         v = next(v for v in kernel_of_matrix_family(source.p, mats, source.dim) if any(v))
         return InseparabilityWitness("forward", "vector", (v, (0,) * source.dim))
     return SeparationCertificate(source, target, tuple(chosen), tuple(notes))
+
+
+def naive_validate_separation(cert):
+    """Whether cert holds by definition: each hom respects every product
+    of its group and, for representations, intertwines every element's
+    action; the homs together separate every pair of group elements and
+    map every nonzero vector of the source to a nonzero vector."""
+    is_rep = not isinstance(cert.source, FiniteGroup)
+    group, codomain = (cert.source.group, cert.target.group) if is_rep else (cert.source, cert.target)
+    images = [h.grouphom.image if is_rep else h.image for h in cert.homs]
+    n = group.order
+    for image in images:
+        if len(image) != n or not all(0 <= x < codomain.order for x in image):
+            return False
+        if any(image[group.table[i][j]] != codomain.table[image[i]][image[j]]
+               for i in range(n) for j in range(n)):
+            return False
+    if any(all(image[i] == image[j] for image in images) for i, j in combinations(range(n), 2)):
+        return False
+    if not is_rep:
+        return True
+    r, s = cert.source, cert.target
+    if r.field != s.field:
+        return False
+    p = r.p
+
+    def mul(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(len(b))) % p for j in range(len(b[0]))]
+                for i in range(len(a))]
+
+    for h in cert.homs:
+        if any(mul(r.act[g], h.matrix) != mul(h.matrix, s.act[h.grouphom.image[g]]) for g in range(n)):
+            return False
+    return all(any(any(row) for h in cert.homs for row in mul([v], h.matrix))
+               for v in product(range(p), repeat=r.dim) if any(v))

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -92,6 +93,7 @@ from naive import (
     naive_points,
     naive_scan_asymmetries,
     naive_separate,
+    naive_validate_separation,
     naive_signatures,
     naive_solutions,
     naive_eval_module,
@@ -608,6 +610,43 @@ def test_trivial_group_self_separation_draws_the_basis_not_the_span(dim):
     assert validate_separation_certificate(cert)
     with pytest.raises(EnumerationCapExceeded, match=f"needs {2 ** dim ** 2} > cap"):
         enumerate_rep_homs(r, r)
+
+
+def test_certificate_validation_matches_the_vector_sweep():
+    # the validator checks the joint vector kernel by one elimination; the
+    # oracle multiplies every nonzero vector of the source by every matrix.
+    # Each certificate is also checked with one hom dropped, and with one
+    # matrix replaced by the zero matrix, which intertwines but cuts nothing
+    rng = random.Random(31)
+    seen = set()
+    for p, dim in product((2, 3, 5), (1, 2, 3)):
+        for _ in range(3):
+            r = _cyclic_power_rep(rng, dim, p, 6)
+            s = _cyclic_power_rep(rng, rng.randint(1, 3), p, 6)
+            for cert in (separates_points(r, s), separates_points(r, r)):
+                if isinstance(cert, InseparabilityWitness):
+                    continue
+                seen.add((p, dim))
+                homs = cert.homs
+                zero = tuple((0,) * cert.target.dim for _ in range(dim))
+                broken = [homs[:k] + homs[k + 1 :] for k in range(len(homs))]
+                broken += [homs[:k] + (replace(h, matrix=zero),) + homs[k + 1 :]
+                           for k, h in enumerate(homs)]
+                for c in [cert, *(replace(cert, homs=b) for b in broken)]:
+                    valid = validate_separation_certificate(c)
+                    assert valid == naive_validate_separation(c)
+                    seen.add(valid)
+    assert seen == {True, False, *product((2, 3, 5), (1, 2, 3))}
+
+
+def test_trivial_group_on_gf97_4_validates_in_well_under_a_second():
+    # 97^4 = 88,529,281 vectors, each of which a vector sweep would multiply
+    r = make_representation(PrimeField(97), 4, trivial_group(), {})
+    t0 = time.perf_counter()
+    cert = separates_points(r, r)
+    assert validate_separation_certificate(cert)
+    assert len(cert.homs) == 4
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_separation_checks_the_fields(trivial_rep):

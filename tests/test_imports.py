@@ -1,10 +1,16 @@
-"""Import hygiene: every module of the package uses each name it imports.
+"""Import hygiene: every module of the package uses each name it imports,
+and a copy of the package imported under a private name is collected once
+it leaves sys.modules.
 
-Only the standard library's ast is needed.  __init__.py is left out, as
-its imports are the package's re-exports.
+Only the standard library is needed.  __init__.py is left out of the
+unused-import check, as its imports are the package's re-exports.
 """
 
 import ast
+import gc
+import importlib.util
+import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -42,3 +48,26 @@ def test_unused_import_detection():
         "    return os.path\n"
     )
     assert unused_imports(source) == ["b", "c"]
+
+
+def test_a_private_import_is_collectable():
+    # the benchmark's set-up imports the package and its CLI again under a
+    # private name and then drops it from sys.modules; a process-wide cache
+    # (typing memoises Union[...]) that holds one of its classes would keep
+    # every module of that copy alive
+    name = "_repgeo_collectable"
+    spec = importlib.util.spec_from_file_location(
+        name, PACKAGE / "__init__.py", submodule_search_locations=[str(PACKAGE)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+        importlib.import_module(f"{name}.cli")
+        refs = [weakref.ref(module.freemod.GroupAtom), weakref.ref(module.geometry.Equivalent)]
+    finally:
+        for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+            del sys.modules[key]
+    del module
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
