@@ -43,7 +43,8 @@ from .freemod import (
     word_value,
 )
 from .groups import FiniteGroup, _group_homs, hom_defect
-from .linalg import kernel_rref, span_elements, vec_mat, zero_vec
+from .linalg import (kernel_rref, kernel_rref_gf2, pack_gf2, span_elements, unpack_gf2,
+                     vec_mat, zero_vec)
 from .reps import (
     Representation,
     _drawn,
@@ -112,19 +113,41 @@ def _columns(
     return tuple(tuple([a % p for a in col]) for col in cols)
 
 
+def _packed_columns(rep: Representation, n: int, packed: dict, triples: tuple) -> tuple[int, ...]:
+    """_columns over GF(2), packed: each odd term XORs act[g]'s columns,
+    packed into packed[g] on first use, shifted to its x-variable's block."""
+    dim, cols = rep.dim, [0] * rep.dim
+    for i, c, g in triples:
+        if c & 1:
+            if g not in packed:
+                packed[g] = tuple(map(pack_gf2, zip(*rep.act[g])))
+            shift, block = n - (i + 1) * dim, packed[g]
+            for j in range(dim):
+                cols[j] ^= block[j] << shift
+    return tuple(cols)
+
+
+def _linear(rep: Representation, n: int) -> tuple[Callable, Callable]:
+    """One call's maps from u's triples at y to M_u(y)'s columns and from a
+    system to its kernel: over GF(2) on packed vectors (linalg.pack_gf2),
+    otherwise on tuples through kernel_rref."""
+    if rep.p == 2:
+        return partial(_packed_columns, rep, n, {}), lambda rows: kernel_rref_gf2(rows, n)
+    return partial(_columns, rep, n), lambda rows: kernel_rref(rep.p, rows, n)
+
+
 def _solution_spaces(
     rep: Representation, ctx: FreeContext, premises: Sequence[Atom]
-) -> Iterator[tuple[tuple[int, ...], Callable[[], list[tuple[int, ...]]]]]:
+) -> Iterator[tuple[tuple[int, ...], Callable[[], list]]]:
     """(y, space) for each y-point, in order, at which the group premises
     hold: space() is S_y, the subspace of flat x-vectors solving the module
-    premises, as its unique basis in reduced row echelon form, eliminated
-    on that call by ``kernel_rref`` once per distinct system."""
+    premises, as its unique basis in reduced row echelon form (packed over
+    GF(2)), eliminated on that call once per distinct system."""
     n = len(ctx.xvars) * rep.dim
     words = [a.word for a in premises if isinstance(a, GroupAtom)]
     elems = [a.element for a in premises if isinstance(a, ModuleAtom)]
-    columns = lru_cache(_MEMO_SIZE)(partial(_columns, rep, n))
-    kernel = lru_cache(_MEMO_SIZE)(lambda rows: kernel_rref(rep.p, rows, n))
-    def space(y: tuple[int, ...]) -> list[tuple[int, ...]]:
+    columns, kernel = map(lru_cache(_MEMO_SIZE), _linear(rep, n))
+    def space(y: tuple[int, ...]) -> list:
         return kernel(tuple(col for u in elems for col in columns(_terms_at(rep, y, u))))
     for y in product(range(rep.group.order), repeat=len(ctx.yvars)):
         if not any(word_value(rep.group, y, w) for w in words):
@@ -149,26 +172,27 @@ def _least_violation(
     """
     _check_inputs(rep, ctx, (*premises, conclusion), caps)
     p, n = rep.p, len(ctx.xvars) * rep.dim
-    columns = lru_cache(_MEMO_SIZE)(partial(_columns, rep, n))
-    least = (0,) * (n - 1) + (1,)
-    best: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
-    for y, space in _solution_spaces(rep, ctx, premises):
-        if isinstance(conclusion, GroupAtom):
-            if word_value(rep.group, y, conclusion.word):
-                best = ((0,) * n, y)
-                break  # nothing precedes x = 0 at the first such y
-            continue
+    spaces = _solution_spaces(rep, ctx, premises)
+    if isinstance(conclusion, GroupAtom):  # nothing precedes x = 0 at the first y where it fails
+        y = next((y for y, _ in spaces if word_value(rep.group, y, conclusion.word)), None)
+        return None if y is None else _assignment(rep, (0,) * n, y)
+    columns = lru_cache(_MEMO_SIZE)(_linear(rep, n)[0])
+    nil, least = columns(()), 1 if p == 2 else (0,) * (n - 1) + (1,)
+    best = None
+    for y, space in spaces:
         cols = columns(_terms_at(rep, y, conclusion.element))
-        if not any(map(any, cols)):
+        if cols == nil:
             continue
         for b in reversed(space()):
-            if any(sum(map(mul, b, col)) % p for col in cols):
+            if any((b & col).bit_count() & 1 if p == 2 else sum(map(mul, b, col)) % p for col in cols):
                 if best is None or b < best[0]:
                     best = (b, y)
                 break
         if best is not None and best[0] == least:
             break
-    return None if best is None else _assignment(rep, *best)
+    if best is None:
+        return None
+    return _assignment(rep, unpack_gf2(best[0], n) if p == 2 else best[0], best[1])
 
 
 def _system_atoms(sys: EquationSystem) -> list[Atom]:
@@ -192,7 +216,7 @@ def solution_set(
     points = sorted(
         (x, y)
         for y, space in _solution_spaces(rep, sys.context, premises)
-        for x in span_elements(rep.p, space(), n)
+        for x in span_elements(rep.p, [unpack_gf2(b, n) if rep.p == 2 else b for b in space()], n)
     )
     return SolutionSet(sys, rep, tuple(_assignment(rep, x, y) for x, y in points))
 

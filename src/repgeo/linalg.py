@@ -109,6 +109,50 @@ def nullspace(p: int, rows: Sequence[Sequence[int]], ncols: int) -> list[Vector]
     return [v[::-1] for v in reversed(kernel_rref(p, [r[::-1] for r in rows], ncols))]
 
 
+# GF(2) vectors packed into ints with coordinate 0 as the top bit, so that
+# int order is the lexicographic order of the vectors and a row operation
+# is one XOR (the packed rows of M4RI: Albrecht, Bard and Hart, "Algorithm
+# 898", ACM TOMS 36(2), 2010).
+
+
+def pack_gf2(v: Sequence[int]) -> int:
+    x = 0
+    for a in v:
+        x = x << 1 | a
+    return x
+
+
+def unpack_gf2(x: int, n: int) -> Vector:
+    return tuple([x >> i & 1 for i in range(n - 1, -1, -1)])
+
+
+def kernel_rref_gf2(rows: Sequence[int], n: int) -> list[int]:
+    """kernel_rref over GF(2) on rows packed by pack_gf2, the basis packed
+    too.  Each row, cleared at the pivots so far, pivots at its lowest bit
+    (its last column) and is cleared from them there: the same reduced
+    echelon form, which is unique, so the same basis."""
+    pivots: dict[int, int] = {}  # pivot bit -> its row, 0 at the other pivot bits
+    for r in rows:
+        for b, row in pivots.items():
+            if r & b:
+                r ^= row
+        if r:
+            b = r & -r
+            for c, row in pivots.items():
+                if row & b:
+                    pivots[c] = row ^ r
+            pivots[b] = r
+    # one kernel vector per free column: 1 there and at each pivot whose row has it
+    basis = {f: f for f in map((1).__lshift__, range(n - 1, -1, -1)) if f not in pivots}
+    for b, row in pivots.items():
+        row ^= b
+        while row:
+            f = row & -row
+            basis[f] |= b
+            row ^= f
+    return list(basis.values())
+
+
 def is_invertible(p: int, a: Matrix) -> bool:
     n = len(a)
     return all(len(row) == n for row in a) and not kernel_rref(p, a, n)

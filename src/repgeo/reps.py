@@ -61,10 +61,6 @@ class Representation:
             raise InvalidInput(f"element index {g} out of range")
         return vec_mat(self.p, v, self.act[g])
 
-    def vectors(self) -> list[Vector]:
-        """Every vector of GF(p)^dim in lexicographic order."""
-        return list(product(range(self.p), repeat=self.dim))
-
 
 def make_representation(
     field: PrimeField,

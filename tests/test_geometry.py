@@ -129,7 +129,7 @@ def test_solution_set_example(r1, gf2):
     assert len(sols) == 6
     a = r1.group.index("a")
     got = {(s.xmap[0], s.ymap[0]) for s in sols}
-    expect = {(v, 0) for v in r1.vectors()} | {((0, 0), a), ((1, 1), a)}
+    expect = {(v, 0) for v in product(range(r1.p), repeat=r1.dim)} | {((0, 0), a), ((1, 1), a)}
     assert got == expect
 
 
@@ -850,7 +850,7 @@ def _check_deciders(rng, draw_rep, rounds):
     limit = 2000
     seen = set()
     for _ in range(rounds):
-        dim, p, nx, ny = (rng.choice(v) for v in ((1, 2, 3), (2, 3, 5), (1, 2), (1, 2)))
+        dim, p, nx, ny = (rng.choice(v) for v in ((1, 2, 3), (2, 3, 5), (1, 2, 3), (1, 2)))
         max_order = int((limit / p ** (dim * nx)) ** (1 / ny))
         if max_order < 2:
             continue
@@ -877,27 +877,33 @@ def _check_deciders(rng, draw_rep, rounds):
         seen |= {("dim", dim), ("p", p), ("nx", nx), ("ny", ny), ("holds", ok)}
         seen.add(("order", rep.group.order))
         seen.add(("dim 3, p 5", (dim, p) == (3, 5)))
+        seen.add(("p 2, n >= 6", p == 2 and nx * dim >= 6))  # packed systems of 6 to 9 columns
+        seen.add(("p 2, dim 3, nx 3", (p, dim, nx) == (2, 3, 3)))
         seen.add(("no premises", not prems))
         seen.add(("group premise", bool(sys.group_part)))
         seen.add(("group conclusion", isinstance(q.conclusion, GroupAtom)))
         seen.add(("zero module atom", any(a.element.is_zero() for a in module_atoms)))
     assert seen >= {("dim", 1), ("dim", 2), ("dim", 3), ("p", 2), ("p", 3), ("p", 5)}
-    assert seen >= {("nx", 1), ("nx", 2), ("ny", 1), ("ny", 2)}
-    for flag in ("holds", "dim 3, p 5", "no premises", "group premise", "group conclusion",
-                 "zero module atom"):
+    assert seen >= {("nx", 1), ("nx", 2), ("nx", 3), ("ny", 1), ("ny", 2)}
+    for flag in ("holds", "dim 3, p 5", "p 2, n >= 6", "no premises", "group premise",
+                 "group conclusion", "zero module atom"):
         assert {(flag, True), (flag, False)} <= seen
     return seen
 
 
 def test_deciders_match_brute_force_oracle():
-    _check_deciders(random.Random(61), _cyclic_power_rep, 400)
+    # the cyclic reps reach order 3 at dim 3, so GF(2)^3 takes three
+    # x-variables: 512 x-vectors, packed in 9 bits
+    seen = _check_deciders(random.Random(61), _cyclic_power_rep, 400)
+    assert ("p 2, dim 3, nx 3", True) in seen
 
 
 def test_deciders_match_oracle_with_memos_evicting(monkeypatch):
     # two entries per memo: nearly every decider call evicts, so a stale or
     # mismatched entry would show as a wrong witness or solution
     monkeypatch.setattr(geometry, "_MEMO_SIZE", 2)
-    _check_deciders(random.Random(62), _cyclic_power_rep, 400)
+    seen = _check_deciders(random.Random(62), _cyclic_power_rep, 400)
+    assert ("p 2, dim 3, nx 3", True) in seen
 
 
 def _diag_z4sq_rep():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -5,7 +6,16 @@ import pytest
 
 from naive import nullspace as naive_nullspace, rank, rref
 from repgeo.errors import InvalidInput
-from repgeo.linalg import PrimeField, is_invertible, kernel_rref, nullspace, span_elements
+from repgeo.linalg import (
+    PrimeField,
+    is_invertible,
+    kernel_rref,
+    kernel_rref_gf2,
+    nullspace,
+    pack_gf2,
+    span_elements,
+    unpack_gf2,
+)
 
 
 def test_kernel_rref_is_the_rref_of_the_kernel():
@@ -42,6 +52,52 @@ def test_kernel_rref_is_the_rref_of_the_kernel():
     assert seen >= {("square", n) for n in range(10)}
     for flag in ("no rows", "zero row", "repeated row", "full rank"):
         assert {(flag, True), (flag, False)} <= seen
+
+
+def test_packed_kernel_is_kernel_rref_packed():
+    # the GF(2) twin on packed rows returns kernel_rref's basis, packed, in
+    # the same order, up to 24 columns: three x-variables on GF(2)^8
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(1500):
+        n, m = rng.randint(0, 24), rng.randint(0, 28)
+        if rng.random() < 0.2:  # rank at most 2: each row the sum of a subset of {a, b}
+            a, b = ([rng.randrange(2) for _ in range(n)] for _ in range(2))
+            coeffs = [(rng.randrange(2), rng.randrange(2)) for _ in range(m)]
+            rows = [[s * x ^ t * y for x, y in zip(a, b)] for s, t in coeffs]
+        else:
+            rows = [[rng.randrange(2) for _ in range(n)] for _ in range(m)]
+        if rows and rng.random() < 0.2:
+            rows.insert(rng.randrange(len(rows) + 1), [0] * n)
+        if rows and rng.random() < 0.2:
+            rows.insert(rng.randrange(len(rows) + 1), list(rng.choice(rows)))
+        basis = kernel_rref_gf2(tuple(map(pack_gf2, rows)), n)
+        assert [unpack_gf2(v, n) for v in basis] == kernel_rref(2, rows, n)
+        seen.add(("n", n))
+        seen.add(("no rows", not rows))
+        seen.add(("zero row", any(not any(r) for r in rows)))
+        seen.add(("repeated row", len({tuple(r) for r in rows}) < len(rows)))
+        seen.add(("more rows than columns", len(rows) > n))
+        seen.add(("full rank", not basis))
+    assert seen >= {("n", n) for n in range(25)}
+    for flag in ("no rows", "zero row", "repeated row", "more rows than columns", "full rank"):
+        assert {(flag, True), (flag, False)} <= seen
+
+
+def test_pack_gf2_round_trips_in_lexicographic_order():
+    # coordinate 0 is the top bit, so int order is the vectors' order
+    for n in range(9):
+        vectors = list(itertools.product(range(2), repeat=n))  # lexicographic
+        packed = [pack_gf2(v) for v in vectors]
+        assert packed == list(range(2**n))
+        assert [unpack_gf2(x, n) for x in packed] == vectors
+    rng = random.Random(97)
+    for _ in range(200):
+        n = rng.randint(0, 64)
+        v = tuple(rng.randrange(2) for _ in range(n))
+        w = tuple(rng.randrange(2) for _ in range(n))
+        assert unpack_gf2(pack_gf2(v), n) == v
+        assert (pack_gf2(v) < pack_gf2(w)) == (v < w)
 
 
 @pytest.mark.parametrize("p", [2**61 - 1, 100000000000031, 1, 0, -3, 4, 99, 101, 3.0, True])

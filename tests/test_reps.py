@@ -238,7 +238,7 @@ def test_kernel_equals_stabilizer_intersection():
         if rep.p**rep.dim > 256:
             continue
         members = set(range(rep.group.order))
-        for v in rep.vectors():
+        for v in product(range(rep.p), repeat=rep.dim):
             members &= set(stabilizer(rep, v).members)
         assert set(rep_kernel(rep).members) == members
         assert normality_witness(rep.group, rep_kernel(rep)) is None
@@ -251,7 +251,7 @@ def test_faithful_image_of_r2(r1, r2):
     assert rep_isomorphic(fi.quotient, r1) is not None
     # induced action agrees pointwise: v . sigma(g) = v . g
     for g in range(r2.group.order):
-        for v in r2.vectors():
+        for v in product(range(r2.p), repeat=r2.dim):
             assert fi.quotient.apply(v, fi.sigma[g]) == r2.apply(v, g)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import fields
 
@@ -236,7 +237,7 @@ def test_eval_atom_examples(r1, r2):
     u = module_add(module_act(x, y), module_scale(-1, x))
     assert eval_atom(Assignment(r1, ((1, 1),), (1,)), ModuleAtom(u))
     assert not eval_atom(Assignment(r1, ((0, 0),), (1,)), GroupAtom(yw))
-    for v in r2.vectors():
+    for v in itertools.product(range(r2.p), repeat=r2.dim):
         assert eval_atom(Assignment(r2, (v,), (r2.group.index("b"),)), ModuleAtom(u))
 
 

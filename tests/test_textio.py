@@ -272,7 +272,7 @@ def test_flat_formulas_evaluate_as_their_terms(p):
         rep = random_representation(rng, primes=(p,), dims=(1,))
         points = [
             Assignment(rep, xmap, ymap)
-            for xmap in itertools.product(rep.vectors(), repeat=2)
+            for xmap in itertools.product(itertools.product(range(rep.p), repeat=rep.dim), repeat=2)
             for ymap in itertools.product(range(rep.group.order), repeat=2)
         ]
         for _ in range(15):
