@@ -127,26 +127,31 @@ def _packed_columns(rep: Representation, n: int, packed: dict, triples: tuple) -
     return tuple(cols)
 
 
-def _linear(rep: Representation, n: int) -> tuple[Callable, Callable]:
-    """One call's maps from u's triples at y to M_u(y)'s columns and from a
-    system to its kernel: over GF(2) on packed vectors (linalg.pack_gf2),
-    otherwise on tuples through kernel_rref."""
-    if rep.p == 2:
-        return partial(_packed_columns, rep, n, {}), lambda rows: kernel_rref_gf2(rows, n)
-    return partial(_columns, rep, n), lambda rows: kernel_rref(rep.p, rows, n)
+def _linear(rep: Representation, n: int) -> tuple[Callable, ...]:
+    """One decider call's kit, shared by its premises and conclusion: the
+    memoised maps from u's triples at y to M_u(y)'s columns and from a
+    system to its kernel basis, the test whether b . col != 0 for some col,
+    and b as a flat tuple.  Over GF(2) vectors are packed (linalg.pack_gf2),
+    each act[g]'s columns on first use in the call; other primes use tuples
+    and kernel_rref."""
+    memo, p = lru_cache(_MEMO_SIZE), rep.p
+    if p == 2:
+        return (memo(partial(_packed_columns, rep, n, {})), memo(lambda rows: kernel_rref_gf2(rows, n)),
+                lambda b, cols: any((b & col).bit_count() & 1 for col in cols), partial(unpack_gf2, n=n))
+    return (memo(partial(_columns, rep, n)), memo(lambda rows: kernel_rref(p, rows, n)),
+            lambda b, cols: any(sum(map(mul, b, col)) % p for col in cols), tuple)
 
 
 def _solution_spaces(
-    rep: Representation, ctx: FreeContext, premises: Sequence[Atom]
+    rep: Representation, ctx: FreeContext, premises: Sequence[Atom], kit: tuple[Callable, ...]
 ) -> Iterator[tuple[tuple[int, ...], Callable[[], list]]]:
     """(y, space) for each y-point, in order, at which the group premises
     hold: space() is S_y, the subspace of flat x-vectors solving the module
-    premises, as its unique basis in reduced row echelon form (packed over
-    GF(2)), eliminated on that call once per distinct system."""
-    n = len(ctx.xvars) * rep.dim
+    premises, as its unique basis in reduced row echelon form in the kit's
+    encoding (_linear), eliminated on that call once per distinct system."""
     words = [a.word for a in premises if isinstance(a, GroupAtom)]
     elems = [a.element for a in premises if isinstance(a, ModuleAtom)]
-    columns, kernel = map(lru_cache(_MEMO_SIZE), _linear(rep, n))
+    columns, kernel = kit[:2]
     def space(y: tuple[int, ...]) -> list:
         return kernel(tuple(col for u in elems for col in columns(_terms_at(rep, y, u))))
     for y in product(range(rep.group.order), repeat=len(ctx.yvars)):
@@ -171,28 +176,22 @@ def _least_violation(
     the least point outside ker M_c(y); no nonzero x precedes (0, ..., 0, 1).
     """
     _check_inputs(rep, ctx, (*premises, conclusion), caps)
-    p, n = rep.p, len(ctx.xvars) * rep.dim
-    spaces = _solution_spaces(rep, ctx, premises)
+    n = len(ctx.xvars) * rep.dim
+    kit = columns, _, hits, flat = _linear(rep, n)
+    spaces = _solution_spaces(rep, ctx, premises, kit)
     if isinstance(conclusion, GroupAtom):  # nothing precedes x = 0 at the first y where it fails
         y = next((y for y, _ in spaces if word_value(rep.group, y, conclusion.word)), None)
         return None if y is None else _assignment(rep, (0,) * n, y)
-    columns = lru_cache(_MEMO_SIZE)(_linear(rep, n)[0])
-    nil, least = columns(()), 1 if p == 2 else (0,) * (n - 1) + (1,)
-    best = None
+    nil, least, best = columns(()), (0,) * (n - 1) + (1,), None
     for y, space in spaces:
         cols = columns(_terms_at(rep, y, conclusion.element))
-        if cols == nil:
-            continue
-        for b in reversed(space()):
-            if any((b & col).bit_count() & 1 if p == 2 else sum(map(mul, b, col)) % p for col in cols):
-                if best is None or b < best[0]:
-                    best = (b, y)
-                break
-        if best is not None and best[0] == least:
-            break
-    if best is None:
-        return None
-    return _assignment(rep, unpack_gf2(best[0], n) if p == 2 else best[0], best[1])
+        if cols != nil:
+            b = next((b for b in reversed(space()) if hits(b, cols)), None)
+            if b is not None and (best is None or b < best[0]):
+                best = b, y
+                if flat(b) == least:
+                    break
+    return None if best is None else _assignment(rep, flat(best[0]), best[1])
 
 
 def _system_atoms(sys: EquationSystem) -> list[Atom]:
@@ -213,10 +212,11 @@ def solution_set(
     premises = _system_atoms(sys)
     _check_inputs(rep, sys.context, premises, caps)
     n = len(sys.context.xvars) * rep.dim
+    kit = _linear(rep, n)
     points = sorted(
         (x, y)
-        for y, space in _solution_spaces(rep, sys.context, premises)
-        for x in span_elements(rep.p, [unpack_gf2(b, n) if rep.p == 2 else b for b in space()], n)
+        for y, space in _solution_spaces(rep, sys.context, premises, kit)
+        for x in span_elements(rep.p, list(map(kit[3], space())), n)
     )
     return SolutionSet(sys, rep, tuple(_assignment(rep, x, y) for x, y in points))
 
@@ -367,20 +367,6 @@ def _word_values(
     return memo["vals", letters]
 
 
-def _word_indicators(
-    rep: Representation, points: Sequence[tuple[int, ...]], n: int, letters: tuple, memo: dict
-) -> dict[int, int]:
-    """For each element g the word with these letters takes, the mask with
-    bit j * |V|^nx set at each y-point j where it takes g, in one pass."""
-    ind = memo.get(("word", letters))
-    if ind is None:
-        ind = memo["word", letters] = {}
-        block = rep.p**n
-        for j, g in enumerate(_word_values(rep, points, letters, memo)):
-            ind[g] = ind.get(g, 0) | 1 << j * block
-    return ind
-
-
 def _term_levels(
     rep: Representation, points: Sequence[tuple[int, ...]], n: int, i: int, letters: tuple, memo: dict
 ) -> list:
@@ -391,8 +377,10 @@ def _term_levels(
     key = "levels", i, tuple(_word_values(rep, points, letters, memo))
     if key not in memo:
         ones, size = (1 << p**n) - 1, p**n * len(points)
-        levels = [0] * p
-        for g, ind in _word_indicators(rep, points, n, letters, memo).items():
+        levels, inds = [0] * p, {}  # g -> the mask with bit j * p^n set where w takes g at y-point j
+        for j, g in enumerate(key[2]):
+            inds[g] = inds.get(g, 0) | 1 << j * p**n
+        for g, ind in inds.items():
             for d in range(dim):
                 col = tuple(row[d] for row in rep.act[g])
                 if ("block", i, col) not in memo:  # the level sets of x_i . col on a block
@@ -440,7 +428,8 @@ def _spelled_mask(
     y-points on every call; its keys hold word letters, which hash faster
     than words."""
     if not isinstance(spelling, list):
-        return ((1 << rep.p**n) - 1) * _word_indicators(rep, points, n, spelling, memo).get(0, 0)
+        vals, block = _word_values(rep, points, spelling, memo), rep.p**n
+        return ((1 << block) - 1) * sum([1 << j * block for j, g in enumerate(vals) if not g])
     size = rep.p**n * len(points)
     mask = (1 << size) - 1
     terms = [(memo.get((i, w)) or _term_levels(rep, points, n, i, w, memo))[c] for i, w, c in spelling]

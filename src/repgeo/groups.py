@@ -206,6 +206,8 @@ class Subgroup:
 
 def subgroup(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
     ms = tuple(sorted(set(members)))
+    if bad := [m for m in ms if not 0 <= m < parent.order]:
+        raise InvalidInput(f"element index {bad[0]} out of range")
     if 0 not in ms:
         raise InvalidInput("subgroup must contain the identity")
     mset = set(ms)
@@ -236,10 +238,10 @@ def quotient_group(g: FiniteGroup, n: Subgroup) -> tuple[FiniteGroup, tuple[int,
     to its coset index.  N's members are checked to form a subgroup, as
     a Subgroup can be built without subgroup().
     """
+    subgroup(g, n.members)
     w = normality_witness(g, n)
     if w is not None:
         raise NotNormal(*w)
-    subgroup(g, n.members)
     least = [min(map(row.__getitem__, n.members)) for row in g.table]  # of the coset aN
     reps = sorted(set(least))
     coset_index = {r: k for k, r in enumerate(reps)}

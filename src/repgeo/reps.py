@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from typing import Iterator, Mapping, Sequence
 
 from .config import DEFAULT_CAPS, EnumerationCaps
@@ -69,6 +69,8 @@ def make_representation(
     act: Mapping[str | int, Sequence[Sequence[int]]],
     caps: EnumerationCaps = DEFAULT_CAPS,
 ) -> Representation:
+    if not isinstance(dim, int):
+        raise InvalidInput(f"dim={dim!r} is not an int")
     if dim < 1 or dim > caps.max_dim:
         raise DimensionMismatch(f"dim must be in [1, {caps.max_dim}]")
     if group.order > caps.max_group_order:
@@ -77,10 +79,15 @@ def make_representation(
     mats: list[Matrix | None] = [None] * group.order
     mats[0] = mat_identity(dim)
     for key, m in act.items():
-        idx = group.index(key) if isinstance(key, str) else key
+        idx = key if isinstance(key, int) else group.index(key)
         if not 0 <= idx < group.order:
             raise InvalidInput(f"element index {idx} out of range")
-        rows = tuple(tuple(x % p for x in r) for r in m)
+        try:  # entries mod p, where p.__rmod__ maps an entry that is not an int to NotImplemented
+            rows = tuple(tuple(map(p.__rmod__, r)) for r in m)
+            if not set(map(type, chain.from_iterable(rows))) <= {int}:
+                raise TypeError
+        except TypeError:
+            raise InvalidInput(f"matrix for {group.names[idx]} is not rows of int entries") from None
         if len(rows) != dim or any(len(r) != dim for r in rows):
             raise DimensionMismatch(
                 f"matrix for {group.names[idx]} is not {dim}x{dim}"

@@ -18,6 +18,7 @@ from repgeo import (
     PrimeField,
     QuasiIdentity,
     RepHom,
+    Subgroup,
     check_rep_hom,
     compose_rep_homs,
     cyclic_group,
@@ -27,9 +28,11 @@ from repgeo import (
     identity_word,
     in_closure,
     make_representation,
+    quotient_group,
     reduce_word,
     rep_isomorphic,
     separates_points,
+    subgroup,
     trivial_group,
     xgen,
 )
@@ -98,6 +101,28 @@ CASES = {
     "make_representation element index": (
         lambda: make_representation(GF2, 1, Z2, {2: [[1]]}),
         InvalidInput, "element index 2 out of range"),
+    "make_representation float entry": (
+        lambda: make_representation(GF2, 1, Z2, {"a": [[1.0]]}),
+        InvalidInput, "matrix for a is not rows of int entries"),
+    "make_representation str entry": (
+        lambda: make_representation(GF2, 1, Z2, {"a": [["1"]]}),
+        InvalidInput, "matrix for a is not rows of int entries"),
+    "make_representation None entry": (
+        lambda: make_representation(GF2, 1, Z2, {"a": [[None]]}),
+        InvalidInput, "matrix for a is not rows of int entries"),
+    "make_representation row not a sequence": (
+        lambda: make_representation(GF2, 1, Z2, {"a": [1]}),
+        InvalidInput, "matrix for a is not rows of int entries"),
+    "make_representation float key": (
+        lambda: make_representation(GF2, 1, Z2, {1.0: [[1]]}),
+        InvalidInput, "no element named 1.0"),
+    "make_representation float dim": (
+        lambda: make_representation(GF2, 1.0, Z2, {"a": [[1]]}),
+        InvalidInput, "dim=1.0 is not an int"),
+    "subgroup element index": (
+        lambda: subgroup(cyclic_group(2), [0, 5]), InvalidInput, "element index 5 out of range"),
+    "quotient_group element index": (
+        lambda: quotient_group(Z2, Subgroup(Z2, (0, 7))), InvalidInput, "element index 7 out of range"),
     "rep_isomorphic fields": (
         lambda: rep_isomorphic(_swap(GF2), _swap(GF3)),
         FieldMismatch, "representations over different fields"),

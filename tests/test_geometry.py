@@ -938,6 +938,27 @@ def test_decider_solves_each_distinct_system_once(monkeypatch):
     assert not ok and (wit.xmap, wit.ymap) == expect
 
 
+def test_gf2_decider_packs_each_action_column_once(monkeypatch):
+    # Z7 acting on GF(2)^3 by the companion matrix of x^3 + x + 1: the
+    # premise and the conclusion read act[g]'s columns through one memo per
+    # call, so each of the 7 elements packs its 3 columns once
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return linalg.pack_gf2(v)
+
+    monkeypatch.setattr(geometry, "pack_gf2", counted)
+    powers = [mat_identity(3)]
+    for _ in range(6):
+        powers.append(mat_mul(2, powers[-1], ((0, 1, 0), (0, 0, 1), (1, 1, 0))))
+    rep = make_representation(PrimeField(2), 3, cyclic_group(7), dict(enumerate(powers)))
+    formula = "x1*y1 + x2*y2 - x3 = 0 => x1*y1*y2 + x2*y2*y2 - x3*y2 = 0"
+    q = parse_qid(formula, infer_context(formula), rep.field)
+    assert fulfills_qid(rep, q) == (True, None)
+    assert len(calls) == 21
+
+
 def test_least_violation_stops_at_the_least_nonzero_x(monkeypatch):
     # the conclusion first fails at x = (0, 0, 0, 1), the least nonzero
     # x-vector, at the 17th of 256 y-points: no later y-point can give an
@@ -945,8 +966,8 @@ def test_least_violation_stops_at_the_least_nonzero_x(monkeypatch):
     visited = []
     spaces = geometry._solution_spaces
 
-    def counted(rep, ctx, premises):
-        for y, space in spaces(rep, ctx, premises):
+    def counted(rep, ctx, premises, kit):
+        for y, space in spaces(rep, ctx, premises, kit):
             visited.append(y)
             yield y, space
 
