@@ -78,9 +78,9 @@ def _dumps(obj) -> str:
     "matrix": [[...]]}``, images in the codomain's element names.
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder.  Here
-    the walk stays in Python, but lists of strings and of homs into one
-    codomain are written at C speed (``_write_homs``), a codomain's names
-    are escaped once, and the pieces are joined once, at the end.
+    the walk stays in Python too; only lists of homs into one codomain are
+    written at C speed (``_write_homs``), a codomain's names are escaped
+    once, and the pieces are joined once, at the end.
     """
     out: list[str] = []
     _write(obj, "\n", out)
@@ -92,8 +92,6 @@ def _write(obj, nl: str, out: list[str]) -> None:
     inner = nl + "  "
     if isinstance(obj, str):
         out.append(_escape(obj))
-    elif type(obj) is int:  # not bool, which json writes as true/false
-        out.append(str(obj))
     elif isinstance(obj, GroupHom):
         _write_homs([obj], nl, out)
     elif isinstance(obj, RepHom):
@@ -104,10 +102,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
         )
         out.append(f'{{{inner}"group_image": [{item}{image}{inner}],'
                    f'{inner}"matrix": [{item}{rows}{inner}]{nl}}}')
-    elif not isinstance(obj, (dict, list, tuple)):
+    elif not obj or not isinstance(obj, (dict, list, tuple)):
         out.append(json.dumps(obj))
-    elif not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
     elif isinstance(obj, dict):
         for n, (k, v) in enumerate(sorted(obj.items())):
             out.append(("," if n else "{") + inner + _escape(k) + ": ")
@@ -118,20 +114,10 @@ def _write(obj, nl: str, out: list[str]) -> None:
         _write_homs(obj, inner, out)
         out.append(nl + "]")
     else:
-        try:
-            joined = "".join(obj)
-        except TypeError:  # not only strings
-            for n, x in enumerate(obj):
-                out.append(("," if n else "[") + inner)
-                _write(x, inner, out)
-            out.append(nl + "]")
-        else:
-            sep = "," + inner
-            if _escape(joined) == '"' + joined + '"':  # no item needs escaping
-                items = '"' + ('"' + sep + '"').join(obj) + '"'
-            else:
-                items = sep.join(map(_escape, obj))
-            out.append(f"[{inner}{items}{nl}]")
+        for n, x in enumerate(obj):
+            out.append(("," if n else "[") + inner)
+            _write(x, inner, out)
+        out.append(nl + "]")
 
 
 def _same_codomain_homs(homs) -> bool:

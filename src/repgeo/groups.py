@@ -115,29 +115,24 @@ def group_from_table(names: Sequence[str], table: Sequence[Sequence[int]]) -> Fi
     rows = tuple(tuple(r) for r in table)
     if len(rows) != n or set(map(len, rows)) != {n}:
         raise InvalidInput("table is not n x n")
-    # each check runs on whole rows and columns at C speed; the row-major
-    # sweep after it runs only on failure, to name the first offender
-    flat = list(chain.from_iterable(rows))
-    if not (set(map(type, flat)) <= {int, bool} and set(flat) <= set(range(n))):
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                if not (isinstance(x, int) and 0 <= x < n):
-                    raise InvalidInput(f"table[{i}][{j}]={x!r} out of range")
-    cols = list(zip(*rows))
+    # range, identity, latin square, associativity: each sweep names the first offender it meets
+    for i, r in enumerate(rows):
+        for j, x in enumerate(r):
+            if not (isinstance(x, int) and 0 <= x < n):
+                raise InvalidInput(f"table[{i}][{j}]={x!r} out of range")
     # identity at index 0
-    if rows[0] != cols[0] or rows[0] != tuple(range(n)):
-        for j in range(n):
-            if rows[0][j] != j:
-                raise NotAGroup("identity", (0, j, rows[0][j]))
-            if rows[j][0] != j:
-                raise NotAGroup("identity", (j, 0, rows[j][0]))
+    for j in range(n):
+        if rows[0][j] != j:
+            raise NotAGroup("identity", (0, j, rows[0][j]))
+        if rows[j][0] != j:
+            raise NotAGroup("identity", (j, 0, rows[j][0]))
     # latin square
-    if set(map(len, map(set, rows))) | set(map(len, map(set, cols))) != {n}:
-        for i in range(n):
-            if len(set(rows[i])) != n:
-                raise NotAGroup("latin-square", ("row", i))
-            if len(set(cols[i])) != n:
-                raise NotAGroup("latin-square", ("col", i))
+    cols = list(zip(*rows))
+    for i in range(n):
+        if len(set(rows[i])) != n:
+            raise NotAGroup("latin-square", ("row", i))
+        if len(set(cols[i])) != n:
+            raise NotAGroup("latin-square", ("col", i))
     # a right inverse, read off the row, is two-sided in a group
     g = _group(names, rows)
     # associativity by Light's test: the k with (ij)k = i(jk) for all i, j
@@ -162,6 +157,8 @@ def _group(names: Sequence[str], rows: Sequence[Sequence[int]]) -> FiniteGroup:
 
 
 def cyclic_group(n: int, gen: str = "g") -> FiniteGroup:
+    if not isinstance(n, int):
+        raise InvalidInput(f"order {n!r} is not an int")
     if n < 1:
         raise InvalidInput("order must be >= 1")
     names = ["1"] + [gen if k == 1 else f"{gen}^{k}" for k in range(1, n)]
@@ -205,9 +202,11 @@ class Subgroup:
 
 
 def subgroup(parent: FiniteGroup, members: Iterable[int]) -> Subgroup:
-    ms = tuple(sorted(set(members)))
-    if bad := [m for m in ms if not 0 <= m < parent.order]:
-        raise InvalidInput(f"element index {bad[0]} out of range")
+    ms = tuple(members)
+    # types first, so that only ints are sorted to name the least out of range
+    if bad := [m for m in ms if not isinstance(m, int)] or sorted(m for m in ms if not 0 <= m < parent.order):
+        raise InvalidInput(f"element index {bad[0]!r} out of range")
+    ms = tuple(sorted(set(ms)))
     if 0 not in ms:
         raise InvalidInput("subgroup must contain the identity")
     mset = set(ms)
@@ -266,7 +265,7 @@ class GroupHom:
 def hom_defect(domain: FiniteGroup, codomain: FiniteGroup, image: Sequence[int]) -> str | None:
     """Why ``image`` is not a homomorphism domain -> codomain, or None if
     it is: the definitional sweep over the full multiplication table."""
-    in_range = all(0 <= x < codomain.order for x in image)
+    in_range = all(isinstance(x, int) and 0 <= x < codomain.order for x in image)
     if len(image) != domain.order or not in_range or image[0] != 0:
         return "bad image table"
     for i, row in enumerate(domain.table):

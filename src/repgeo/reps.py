@@ -57,8 +57,8 @@ class Representation:
     def apply(self, v: Vector, g: int) -> Vector:
         if len(v) != self.dim:
             raise DimensionMismatch("vector length != dim")
-        if not 0 <= g < self.group.order:
-            raise InvalidInput(f"element index {g} out of range")
+        if not (isinstance(g, int) and 0 <= g < self.group.order):
+            raise InvalidInput(f"element index {g!r} out of range")
         return vec_mat(self.p, v, self.act[g])
 
 

@@ -25,9 +25,11 @@ from repgeo import (
     equation_system,
     find_at_witness,
     group_from_table,
+    group_hom,
     identity_word,
     in_closure,
     make_representation,
+    parse_rep_file,
     quotient_group,
     reduce_word,
     rep_isomorphic,
@@ -35,6 +37,7 @@ from repgeo import (
     subgroup,
     trivial_group,
     xgen,
+    ygen,
 )
 from repgeo.audit import build_demo_reps
 from repgeo.groups import compose_group_homs
@@ -49,6 +52,11 @@ Z2 = cyclic_group(2, "a")
 def _swap(field):
     """Z2 on GF(p)^2 by the coordinate swap."""
     return make_representation(field, 2, Z2, {"a": [[0, 1], [1, 0]]})
+
+
+def _trivial_z2(field):
+    """Z2 acting trivially on GF(p)^1."""
+    return make_representation(field, 1, Z2, {"a": [[1]]})
 
 
 def _identity_hom(rep):
@@ -66,6 +74,9 @@ CASES = {
     "equation_system contexts": (
         lambda: equation_system(CTX, [xgen(OTHER, GF2, 0)]),
         ContextMismatch, "system member over a different context"),
+    "equation_system group part contexts": (
+        lambda: equation_system(CTX, [], [ygen(OTHER, 0)]),
+        ContextMismatch, "system member over a different context"),
     "in_closure contexts": (
         lambda: in_closure(_swap(GF2), equation_system(CTX), GroupAtom(identity_word(OTHER))),
         InvalidInput, "atom context differs from system context"),
@@ -81,6 +92,10 @@ CASES = {
         lambda: group_from_table(["e", "e"], [[0, 1], [1, 0]]),
         InvalidInput, "element names not distinct"),
     "cyclic_group order 0": (lambda: cyclic_group(0), InvalidInput, "order must be >= 1"),
+    "cyclic_group float order": (lambda: cyclic_group(2.0), InvalidInput, "order 2.0 is not an int"),
+    "cyclic_group str order": (lambda: cyclic_group("3"), InvalidInput, "order '3' is not an int"),
+    "group_hom float image": (lambda: group_hom(Z2, Z2, [0, 1.0]), InvalidInput, "bad image table"),
+    "group_hom str image": (lambda: group_hom(Z2, Z2, [0, "a"]), InvalidInput, "bad image table"),
     "compose_group_homs": (
         lambda: compose_group_homs(GroupHom(Z2, Z2, (0, 1)), GroupHom(trivial_group(), Z2, (0,))),
         InvalidInput, "hom composition domain mismatch"),
@@ -95,6 +110,10 @@ CASES = {
         lambda: _swap(GF2).apply((1,), 1), DimensionMismatch, "vector length != dim"),
     "apply element index": (
         lambda: _swap(GF2).apply((1, 0), 2), InvalidInput, "element index 2 out of range"),
+    "apply float element index": (
+        lambda: _trivial_z2(GF2).apply((1,), 1.0), InvalidInput, "element index 1.0 out of range"),
+    "apply str element index": (
+        lambda: _trivial_z2(GF2).apply((1,), "a"), InvalidInput, "element index 'a' out of range"),
     "make_representation group order cap": (
         lambda: make_representation(GF2, 1, cyclic_group(8), {}, EnumerationCaps(max_group_order=4)),
         EnumerationCapExceeded, "group order needs 8 > cap 4"),
@@ -121,8 +140,21 @@ CASES = {
         InvalidInput, "dim=1.0 is not an int"),
     "subgroup element index": (
         lambda: subgroup(cyclic_group(2), [0, 5]), InvalidInput, "element index 5 out of range"),
+    "subgroup least element index": (
+        lambda: subgroup(cyclic_group(2), [7, 0, 5]), InvalidInput, "element index 5 out of range"),
+    "subgroup float element index": (
+        lambda: subgroup(cyclic_group(2), [0, 1.0]), InvalidInput, "element index 1.0 out of range"),
+    "subgroup str element index": (
+        lambda: subgroup(cyclic_group(2), ["a"]), InvalidInput, "element index 'a' out of range"),
+    "subgroup str before out-of-range int": (
+        lambda: subgroup(cyclic_group(2), [5, "a", 0]), InvalidInput, "element index 'a' out of range"),
     "quotient_group element index": (
         lambda: quotient_group(Z2, Subgroup(Z2, (0, 7))), InvalidInput, "element index 7 out of range"),
+    "quotient_group float element index": (
+        lambda: quotient_group(Z2, Subgroup(Z2, (0, 1.0))), InvalidInput, "element index 1.0 out of range"),
+    "parse_rep_file product over the order cap": (
+        lambda: parse_rep_file("field p=2\ngroup product(cyclic(64) as a, cyclic(64) as b)\ndim 1\n"),
+        InvalidInput, "group order 4096 exceeds cap 64"),
     "rep_isomorphic fields": (
         lambda: rep_isomorphic(_swap(GF2), _swap(GF3)),
         FieldMismatch, "representations over different fields"),

@@ -94,9 +94,17 @@ _INVERSE_LOOP5 = [
     # the first offender in row-major order is named, whatever its kind
     *(
         (_z3_with({(2, 0): bad, (1, 2): bad}), InvalidInput, f"table[1][2]={bad!r} out of range")
-        for bad in [1.0, "1", None, -1, 3]
+        for bad in [1.0, "1", None, -1, 3, [1]]
     ),
     (_z3_with({(2, 0): "1", (1, 2): -1}), InvalidInput, "table[1][2]=-1 out of range"),
+    # an entry equal to an index is in range only as an int or a bool
+    (_z3_with({(0, 1): 1.0}), InvalidInput, "table[0][1]=1.0 out of range"),
+    (_z3_with({(1, 2): True}), NotAGroup("latin-square", ("row", 1)), None),
+    # a table failing two checks is named by the earlier check, range before
+    # identity before latin square before associativity, wherever its offenders lie
+    (_z3_with({(0, 1): 2, (2, 2): 7}), InvalidInput, "table[2][2]=7 out of range"),
+    ([[0, 1, 2], [1, 1, 0], [1, 2, 0]], NotAGroup("identity", (2, 0, 1)), None),
+    ([[0, 1, 2], [1, 0, 0], [2, 0, 0]], NotAGroup("latin-square", ("row", 1)), None),
     ([[0, 1, 2], [1, 2], [2, 0, 1]], InvalidInput, "table is not n x n"),
     ([[0, 1, 2], [1, 2, 0]], InvalidInput, "table is not n x n"),
     ([[0, 1, 2], [1, 2, 0], [1, 0, 2]], NotAGroup("identity", (2, 0, 1)), None),
@@ -107,7 +115,8 @@ _INVERSE_LOOP5 = [
     # 2 * 3 = 1 but 3 * 2 = 1: a loop without two-sided inverses is never
     # associative, so Light's test names it before the inverse check
     (_LOOP5, NotAGroup("associativity", (2, 1, 1)), None),
-], ids=["float", "str", "none", "negative", "n", "first-of-two-kinds", "ragged", "row-count",
+], ids=["float", "str", "none", "negative", "n", "unhashable", "first-of-two-kinds", "float-equal-to-index",
+        "true", "range-before-identity", "identity-before-latin", "latin-before-associativity", "ragged", "row-count",
         "identity-col", "identity-row", "row-repeat", "col-repeat", "loop", "no-inverses"])
 def test_table_errors_name_the_first_offender(table, error, message):
     with pytest.raises(RepGeoError) as e:
